@@ -82,6 +82,7 @@ const corpus::UserSplit& ExperimentRunner::SplitOf(corpus::UserId u) const {
 const corpus::LabeledTrainSet& ExperimentRunner::TrainSet(
     corpus::Source source, corpus::UserId u) {
   auto key = std::make_pair(static_cast<int>(source), u);
+  std::lock_guard<std::mutex> lock(train_mu_);
   auto it = train_cache_.find(key);
   if (it != train_cache_.end()) return it->second;
   corpus::LabeledTrainSet train =

@@ -7,6 +7,7 @@
 #define MICROREC_EVAL_EXPERIMENT_H_
 
 #include <map>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -121,7 +122,8 @@ class ExperimentRunner {
   /// The split of one user (must have survived Init()).
   const corpus::UserSplit& SplitOf(corpus::UserId u) const;
 
-  /// Cached labelled train set for (source, user).
+  /// Cached labelled train set for (source, user). Thread-safe; the
+  /// reference stays valid for the runner's lifetime.
   const corpus::LabeledTrainSet& TrainSet(corpus::Source source,
                                           corpus::UserId u);
 
@@ -142,6 +144,10 @@ class ExperimentRunner {
   std::unordered_map<corpus::UserId, corpus::UserSplit> splits_;
   // Surviving users per group, in cohort order.
   std::vector<corpus::UserId> seekers_, balanced_, producers_, all_;
+  // Filled lazily by TrainSet() from any thread (serving recommenders
+  // share one runner context); nodes are never erased, so references
+  // handed out stay valid.
+  std::mutex train_mu_;
   std::map<std::pair<int, corpus::UserId>, corpus::LabeledTrainSet>
       train_cache_;
 };

@@ -1,10 +1,6 @@
 #include "rec/engine.h"
 
 #include <algorithm>
-#include <cstring>
-#include <list>
-#include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "bag/bag_model.h"
@@ -13,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rec/llda_labels.h"
+#include "rec/user_store.h"
 #include "snapshot/codec.h"
 #include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
@@ -79,40 +76,15 @@ std::vector<std::string> VocabTerms(const text::Vocabulary& vocab) {
   return terms;
 }
 
-snapshot::Header MakeSnapshotHeader(const ModelConfig& config,
-                                    const EngineContext& ctx,
-                                    uint64_t vocab_fingerprint) {
-  snapshot::Header header;
-  header.model = std::string(ModelKindName(config.kind));
-  header.source = std::string(corpus::SourceName(ctx.source));
-  header.seed = ctx.seed;
-  header.iteration_scale = ctx.iteration_scale;
-  header.config_fingerprint = config.Fingerprint();
-  header.vocab_fingerprint = vocab_fingerprint;
-  return header;
-}
-
-Status VerifySnapshotIdentity(const snapshot::File& file,
-                              const ModelConfig& config,
-                              const EngineContext& ctx) {
+// `File` is a snapshot::File or a snapshot::MappedFile.
+template <typename File>
+Status VerifyIdentity(const File& file, const ModelConfig& config,
+                      const EngineContext& ctx) {
   return file.VerifyIdentity(std::string(ModelKindName(config.kind)),
                              std::string(corpus::SourceName(ctx.source)),
                              ctx.seed, ctx.iteration_scale,
                              config.Fingerprint());
 }
-
-// FNV-1a mixing of one 64-bit value into a running hash; the bag/graph
-// engines bind their header's vocabulary fingerprint to the full sorted
-// (user id, per-user vocabulary fingerprint) sequence.
-uint64_t MixFingerprint(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xFFu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 void SaveRngState(const Rng& rng, snapshot::Encoder* enc) {
   Rng::State state = rng.SaveState();
@@ -135,499 +107,210 @@ Status LoadRngState(snapshot::Decoder* dec, Rng* rng) {
   return Status::OK();
 }
 
-void SaveDistribution(uint64_t key, const std::vector<double>& dist,
-                      snapshot::Encoder* enc) {
-  enc->PutU64(key);
-  enc->PutVecF64(dist);
-}
-
-Status VerifyMappedIdentity(const snapshot::MappedFile& file,
-                            const ModelConfig& config,
-                            const EngineContext& ctx) {
-  return file.VerifyIdentity(std::string(ModelKindName(config.kind)),
-                             std::string(corpus::SourceName(ctx.source)),
-                             ctx.seed, ctx.iteration_scale,
-                             config.Fingerprint());
-}
-
-// Row-decode failures hit in paths that cannot return a Status (Score,
-// Profile); the engine degrades the user to "absent" and counts it here so
-// the condition is observable, never silent.
-obs::Counter* MappedRowErrorCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("snapshot.mapped_row_errors");
-  return counter;
-}
-
-// ---- v2 row primitives (field codecs inside one table row). ----
-//
-// Rows are self-contained byte strings built from snapshot/codec.h
-// primitives: varint lengths/counts, zigzag-delta id sequences, and raw
-// little-endian f64s for weights (weights are incompressible entropy; ids
-// and counts are where the size lives). Offsets in decode errors are
-// row-relative; the origin string names the file, section and row.
-
-void PutRowF64s(std::string* out, const std::vector<double>& values) {
-  snapshot::PutVarint(out, values.size());
-  for (double v : values) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-    }
-  }
-}
-
-Status GetRowF64s(std::string_view row, size_t* pos,
-                  std::vector<double>* values, const std::string& origin,
-                  const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > (row.size() - *pos) / 8) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t bits = 0;
-    for (int b = 0; b < 8; ++b) {
-      bits |= static_cast<uint64_t>(
-                  static_cast<uint8_t>(row[*pos + static_cast<size_t>(b)]))
-              << (8 * b);
-    }
-    *pos += 8;
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    values->push_back(v);
-  }
-  return Status::OK();
-}
-
-void PutRowStrings(std::string* out, const std::vector<std::string>& values) {
-  snapshot::PutVarint(out, values.size());
-  for (const std::string& s : values) {
-    snapshot::PutVarint(out, s.size());
-    out->append(s);
-  }
-}
-
-Status GetRowStrings(std::string_view row, size_t* pos,
-                     std::vector<std::string>* values,
-                     const std::string& origin, const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > row.size() - *pos) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    MICROREC_RETURN_IF_ERROR(
-        snapshot::GetVarint(row, pos, &len, 0, origin, what));
-    if (len > row.size() - *pos) {
-      return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                              ": " + what + " string of " +
-                              std::to_string(len) + " bytes overruns the row");
-    }
-    values->emplace_back(row.substr(*pos, static_cast<size_t>(len)));
-    *pos += static_cast<size_t>(len);
-  }
-  return Status::OK();
-}
-
-void PutRowVarints(std::string* out, const std::vector<uint32_t>& values) {
-  snapshot::PutVarint(out, values.size());
-  for (uint32_t v : values) snapshot::PutVarint(out, v);
-}
-
-Status GetRowVarints(std::string_view row, size_t* pos,
-                     std::vector<uint32_t>* values, const std::string& origin,
-                     const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > row.size() - *pos) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    MICROREC_RETURN_IF_ERROR(
-        snapshot::GetVarint(row, pos, &v, 0, origin, what));
-    if (v > UINT32_MAX) {
-      return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                              ": " + what + " value " + std::to_string(v) +
-                              " exceeds 32 bits");
-    }
-    values->push_back(static_cast<uint32_t>(v));
-  }
-  return Status::OK();
-}
-
-Status ExpectRowEnd(std::string_view row, size_t pos,
-                    const std::string& origin) {
-  if (pos != row.size()) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(pos) + ": " +
-                            std::to_string(row.size() - pos) +
-                            " trailing bytes in row");
-  }
-  return Status::OK();
-}
-
-// ---- Mapped-mode LRU bookkeeping. ----
-//
-// Tracks which keys of a resident map were materialized *from the mapped
-// snapshot* (and are therefore safe to drop and re-materialize later) in
-// recency order. Cold-built keys are pinned by never being registered.
-// Eviction bounds memory only; a hit or miss never changes a score, because
-// re-materialization decodes the same bytes.
-template <typename K>
-class MappedLruTracker {
- public:
-  void set_capacity(size_t capacity) { capacity_ = std::max<size_t>(1, capacity); }
-
-  /// Registers or refreshes `key`; returns the key to drop when the
-  /// tracked set now exceeds capacity.
-  std::optional<K> Touch(const K& key) {
-    auto it = pos_.find(key);
-    if (it != pos_.end()) {
-      order_.splice(order_.end(), order_, it->second);
-      return std::nullopt;
-    }
-    order_.push_back(key);
-    pos_[key] = std::prev(order_.end());
-    if (pos_.size() <= capacity_) return std::nullopt;
-    K victim = order_.front();
-    order_.pop_front();
-    pos_.erase(victim);
-    return victim;
-  }
-
-  void Erase(const K& key) {
-    auto it = pos_.find(key);
-    if (it == pos_.end()) return;
-    order_.erase(it->second);
-    pos_.erase(it);
-  }
-
-  bool Contains(const K& key) const { return pos_.count(key) > 0; }
-
- private:
-  size_t capacity_ = 1024;
-  std::list<K> order_;  // front = least recent
-  std::unordered_map<K, typename std::list<K>::iterator> pos_;
-};
-
-// Resident v2 load of a distribution table section ("users" /
-// "infer_cache" of the topic engine): each row is one PutRowF64s vector
-// keyed by the table row id.
-template <typename Map>
-Status LoadDistTableV2(const snapshot::File& file, const char* name,
-                       Map* out) {
-  Result<const snapshot::Section*> section = file.Find(name);
+// Mapped counterpart of File::OpenSection: copies the section's logical
+// bytes into `*bytes` and decodes them with the section's file offset.
+Result<snapshot::Decoder> OpenMappedSection(const snapshot::MappedFile& file,
+                                            std::string_view name,
+                                            std::string* bytes) {
+  Result<const snapshot::MappedFile::MappedSection*> section = file.Find(name);
   if (!section.ok()) return section.status();
-  const std::string& payload = (*section)->payload;
-  const std::string origin = file.origin() + ":section \"" + name + "\"";
-  snapshot::TableIndex index;
-  MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-      payload, payload.size(), &index, (*section)->payload_offset, origin));
-  for (size_t i = 0; i < index.ids.size(); ++i) {
-    std::string_view row =
-        std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-    const std::string row_origin =
-        origin + " row " + std::to_string(index.ids[i]);
-    std::vector<double> dist;
-    size_t pos = 0;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &dist, row_origin, "distribution"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, row_origin));
-    (*out)[static_cast<typename Map::key_type>(index.ids[i])] =
-        std::move(dist);
-  }
+  MICROREC_RETURN_IF_ERROR(file.ReadSection(name, bytes));
+  return snapshot::Decoder(*bytes, (*section)->payload_offset);
+}
+
+// Moves a successful result into `*out`, which an error leaves untouched.
+template <typename T>
+Status Adopt(Result<T> result, T* out) {
+  if (!result.ok()) return result.status();
+  *out = std::move(*result);
   return Status::OK();
 }
 
-// ---- Bag engine (TN / CN). ----
-
-class BagEngine : public Engine, public SparseProfileScorer {
+// ---- Persistence shared by every family. ----
+//
+// Prepare()'s warm-start preamble, identity verification, the warm-start
+// counter, and OpenMapped()'s resident fallback for v1 files (whose
+// sections have no random-access row index). Families restore their own
+// tables — all of them UserStores — in LoadState() and MapState().
+class PersistentEngine : public Engine {
  public:
-  explicit BagEngine(const ModelConfig& config) : config_(config) {}
-
-  SparseProfileScorer* sparse_scorer() override { return this; }
-
-  const bag::SparseVector* Profile(UserId u) const override {
-    const UserState* state = EnsureUser(u);
-    return state == nullptr ? nullptr : &state->vector;
-  }
-
-  bag::SparseVector Embed(UserId u, TweetId d,
-                          const EngineContext& ctx) override {
-    EnsureUser(u);
-    return users_.at(u)->modeler.EmbedDocument(ctx.pre->Filtered(d));
-  }
-
-  double Kernel(UserId u, const bag::SparseVector& profile,
-                const bag::SparseVector& doc) const override {
-    // Runs on shard threads; never materializes (the profile was ensured on
-    // the caller thread and eviction cannot intervene mid-query).
-    return users_.at(u)->modeler.Score(profile, doc);
-  }
-
-  Status Prepare(const EngineContext& ctx) override {
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
-    return Status::OK();
-  }
-
-  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
-                   const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      // A persisted user materializes straight from the map; decode
-      // corruption surfaces here as a Status instead of being deferred to
-      // a scoring path that cannot return one.
-      mapped_error_ = Status::OK();
-      if (EnsureUser(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-      // Absent from the snapshot: cold-build below (pinned — never evicted,
-      // since the map cannot re-materialize it).
-    }
-    if (loaded_from_snapshot_ && users_.count(u) > 0) return Status::OK();
-    obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    auto state = std::make_unique<UserState>(config_.bag);
-    std::vector<bag::TokenDoc> docs;
-    docs.reserve(train.docs.size());
-    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
-    state->modeler.Fit(docs);
-    state->vector = state->modeler.BuildUserVector(docs, train.positive);
-    users_[u] = std::move(state);
-    return Status::OK();
-  }
-
-  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
-    obs::ScopedHistogramTimer timer(ScoreHistogram());
-    ScoreCounter()->Increment();
-    UserState* state = EnsureUser(u);
-    if (state == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted by EnsureUser
-      state = users_.at(u).get();
-    }
-    bag::SparseVector doc = state->modeler.EmbedDocument(ctx.pre->Filtered(d));
-    return state->modeler.Score(state->vector, doc);
-  }
-
-  void InvalidateUser(UserId u) override {
-    users_.erase(u);
-    lru_.Erase(u);
-    // Block re-materialization: the mapped row predates the invalidation
-    // and the next BuildUser must rebuild from the (extended) train set.
-    if (mapped_) invalidated_.insert(u);
-  }
-
-  Status SaveSnapshot(const std::string& path,
-                      const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
-    std::vector<UserId> ids;
-    ids.reserve(users_.size());
-    for (const auto& [u, state] : users_) ids.push_back(u);
-    std::sort(ids.begin(), ids.end());
-
-    if (ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed) {
-      snapshot::TableBuilder table;
-      uint64_t fingerprint = kFnvBasis;
-      for (UserId u : ids) {
-        const UserState& state = *users_.at(u);
-        std::vector<std::string> terms =
-            VocabTerms(state.modeler.vocabulary());
-        std::string row;
-        PutRowStrings(&row, terms);
-        PutRowVarints(&row, state.modeler.doc_frequencies());
-        snapshot::PutVarint(&row, state.modeler.num_train_docs());
-        std::vector<uint64_t> vec_terms;
-        std::vector<double> vec_weights;
-        vec_terms.reserve(state.vector.size());
-        vec_weights.reserve(state.vector.size());
-        for (const auto& [term, weight] : state.vector.entries()) {
-          vec_terms.push_back(term);
-          vec_weights.push_back(weight);
-        }
-        snapshot::PutDeltaIds(&row, vec_terms);
-        PutRowF64s(&row, vec_weights);
-        MICROREC_RETURN_IF_ERROR(table.AddRow(u, row));
-        fingerprint = MixFingerprint(fingerprint, u);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-      writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-      writer.AddSection("users", std::move(table).Finish());
-      return writer.Commit(path);
-    }
-
-    snapshot::Encoder enc;
-    enc.PutU64(ids.size());
-    uint64_t fingerprint = kFnvBasis;
-    for (UserId u : ids) {
-      const UserState& state = *users_.at(u);
-      std::vector<std::string> terms = VocabTerms(state.modeler.vocabulary());
-      enc.PutU64(u);
-      enc.PutVecString(terms);
-      enc.PutVecU32(state.modeler.doc_frequencies());
-      enc.PutU64(state.modeler.num_train_docs());
-      std::vector<uint32_t> vec_terms;
-      std::vector<double> vec_weights;
-      vec_terms.reserve(state.vector.size());
-      vec_weights.reserve(state.vector.size());
-      for (const auto& [term, weight] : state.vector.entries()) {
-        vec_terms.push_back(term);
-        vec_weights.push_back(weight);
-      }
-      enc.PutVecU32(vec_terms);
-      enc.PutVecF64(vec_weights);
-      fingerprint = MixFingerprint(fingerprint, u);
-      fingerprint =
-          MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-    }
-    snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-    writer.AddSection("users", enc.Release());
-    return writer.Commit(path);
-  }
+  explicit PersistentEngine(const ModelConfig& config) : config_(config) {}
 
   Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
+                      const EngineContext& ctx) final {
     Result<snapshot::File> file = snapshot::File::Load(path);
     if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-    std::unordered_map<UserId, std::unique_ptr<UserState>> users;
-    uint64_t fingerprint = kFnvBasis;
-
-    if (file->version() == 2) {
-      Result<const snapshot::Section*> section = file->Find("users");
-      if (!section.ok()) return section.status();
-      const std::string& payload = (*section)->payload;
-      const std::string origin = file->origin() + ":section \"users\"";
-      snapshot::TableIndex index;
-      MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-          payload, payload.size(), &index, (*section)->payload_offset,
-          origin));
-      for (size_t i = 0; i < index.ids.size(); ++i) {
-        const uint64_t user = index.ids[i];
-        std::string_view row = std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-        std::unique_ptr<UserState> state;
-        uint64_t term_fingerprint = 0;
-        MICROREC_RETURN_IF_ERROR(DecodeUserRow(
-            row, file->origin() + ": bag user " + std::to_string(user),
-            &state, &term_fingerprint));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint = MixFingerprint(fingerprint, term_fingerprint);
-      }
-    } else {
-      Result<snapshot::Decoder> dec = file->OpenSection("users");
-      if (!dec.ok()) return dec.status();
-      uint64_t count = 0;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t user = 0;
-        std::vector<std::string> terms;
-        std::vector<uint32_t> df;
-        uint64_t num_train_docs = 0;
-        std::vector<uint32_t> vec_terms;
-        std::vector<double> vec_weights;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&df));
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&num_train_docs));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&vec_terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&vec_weights));
-        std::unique_ptr<UserState> state;
-        MICROREC_RETURN_IF_ERROR(BuildUserState(
-            file->origin() + ": bag user " + std::to_string(user), terms,
-            std::move(df), num_train_docs, vec_terms, vec_weights, &state));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-    }
-
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
-    users_ = std::move(users);
-    loaded_from_snapshot_ = true;
+    MICROREC_RETURN_IF_ERROR(VerifyIdentity(*file, config_, ctx));
+    MICROREC_RETURN_IF_ERROR(LoadState(*file, ctx));
     WarmStartCounter()->Increment();
     return Status::OK();
   }
 
   Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
+                    const EngineContext& ctx) final {
     Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
     if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      // v1 sections have no random-access row index; serve the file
-      // resident with identical rankings (the memory win needs v2).
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
+    // Serve a v1 file resident with identical rankings (the memory win
+    // needs v2).
+    if (file->version() == 1) return LoadSnapshot(path, ctx);
+    MICROREC_RETURN_IF_ERROR(VerifyIdentity(*file, config_, ctx));
     auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> table =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!table.ok()) return table.status();
+    MICROREC_RETURN_IF_ERROR(MapState(*owned, ctx));
     mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*table));
-    lru_.set_capacity(ctx.mapped_user_cache);
-    users_.clear();
-    invalidated_.clear();
-    mapped_ = true;
-    loaded_from_snapshot_ = true;
     WarmStartCounter()->Increment();
     return Status::OK();
   }
 
- private:
-  struct UserState {
-    explicit UserState(const bag::BagConfig& config) : modeler(config) {}
-    bag::BagModeler modeler;
-    bag::SparseVector vector;
-  };
+ protected:
+  /// Prepare()'s warm start from ctx.warm_start_snapshot (LoadSnapshot, or
+  /// OpenMapped under ServeMode::kMmap). True when state was restored and
+  /// training is skipped; false without a snapshot or when the file is
+  /// missing (a counted warm miss: train cold). Other failures propagate.
+  Result<bool> WarmStart(const EngineContext& ctx) {
+    if (ctx.warm_start_snapshot.empty()) return false;
+    Status loaded = ctx.serve_mode == ServeMode::kMmap
+                        ? OpenMapped(ctx.warm_start_snapshot, ctx)
+                        : LoadSnapshot(ctx.warm_start_snapshot, ctx);
+    if (loaded.ok()) return true;
+    if (loaded.code() != StatusCode::kNotFound) return loaded;
+    WarmMissCounter()->Increment();
+    return false;
+  }
 
-  /// Shared semantic validation + state construction for both container
-  /// versions (the v1 decoder and the v2 row codec land here). `who` names
-  /// the file and user for error messages.
-  Status BuildUserState(const std::string& who,
-                        const std::vector<std::string>& terms,
-                        std::vector<uint32_t> df, uint64_t num_train_docs,
-                        const std::vector<uint32_t>& vec_terms,
-                        const std::vector<double>& vec_weights,
-                        std::unique_ptr<UserState>* out) const {
+  /// A writer carrying this engine's identity header and ctx's codec.
+  snapshot::Writer NewWriter(const EngineContext& ctx,
+                             uint64_t vocab_fingerprint) const {
+    snapshot::Header header;
+    header.model = std::string(ModelKindName(config_.kind));
+    header.source = std::string(corpus::SourceName(ctx.source));
+    header.seed = ctx.seed;
+    header.iteration_scale = ctx.iteration_scale;
+    header.config_fingerprint = config_.Fingerprint();
+    header.vocab_fingerprint = vocab_fingerprint;
+    snapshot::Writer writer(std::move(header));
+    writer.set_codec(ctx.snapshot_codec);
+    return writer;
+  }
+
+  /// Restores the family's state from a verified resident file.
+  virtual Status LoadState(const snapshot::File& file,
+                           const EngineContext& ctx) = 0;
+  /// Serves the family's tables from a verified v2 mapping, which outlives
+  /// them.
+  virtual Status MapState(const snapshot::MappedFile& file,
+                          const EngineContext& ctx) = 0;
+
+  /// The open mapping; nullptr unless OpenMapped() served a v2 file.
+  const snapshot::MappedFile* mapped_file() const {
+    return mapped_file_.get();
+  }
+
+  ModelConfig config_;
+
+ private:
+  // A base member, so it is destroyed after the derived classes' stores
+  // whose mapped tables view its pages.
+  std::unique_ptr<snapshot::MappedFile> mapped_file_;
+};
+
+// Bag and graph engines persist nothing but their user models: everything
+// about them except building and scoring a model lives here.
+template <typename Codec>
+class UserModelEngine : public PersistentEngine {
+ public:
+  UserModelEngine(const ModelConfig& config, Codec codec)
+      : PersistentEngine(config), users_(std::move(codec)) {}
+
+  Status Prepare(const EngineContext& ctx) override {
+    return WarmStart(ctx).status();
+  }
+
+  void InvalidateUser(UserId u) override { users_.Invalidate(u); }
+
+  Status SaveSnapshot(const std::string& path,
+                      const EngineContext& ctx) const override {
+    std::string users;
+    uint64_t fingerprint = 0;
+    MICROREC_RETURN_IF_ERROR(
+        users_.Save(ctx.snapshot_codec, path, &users, &fingerprint));
+    // The header's vocabulary fingerprint binds the sorted (user id,
+    // per-user vocabulary fingerprint) sequence.
+    snapshot::Writer writer = NewWriter(ctx, fingerprint);
+    writer.AddSection("users", std::move(users));
+    return writer.Commit(path);
+  }
+
+ protected:
+  Status LoadState(const snapshot::File& file,
+                   const EngineContext& /*ctx*/) override {
+    return Adopt(users_.Loaded(file, "users", /*verify_fingerprint=*/true),
+                 &users_);
+  }
+
+  Status MapState(const snapshot::MappedFile& file,
+                  const EngineContext& ctx) override {
+    return Adopt(users_.Mapped(file, "users", ctx.mapped_user_cache),
+                 &users_);
+  }
+
+  // Profile() and Kernel() are const but may materialize a mapped row.
+  mutable UserStore<UserId, Codec> users_;
+};
+
+// ---- Bag engine (TN / CN). ----
+
+struct BagUser {
+  bag::BagModeler modeler;
+  bag::SparseVector vector;
+};
+
+// A bag row: the user's fitted vocabulary, document frequencies and train
+// document count, then her profile vector. Its term fingerprint is over the
+// vocabulary.
+class BagCodec {
+ public:
+  using Row = BagUser;
+
+  explicit BagCodec(const bag::BagConfig& config) : config_(config) {}
+
+  uint64_t Encode(const Row& row, RowWriter* out) const {
+    std::vector<std::string> terms = VocabTerms(row.modeler.vocabulary());
+    std::vector<uint64_t> vec_terms;
+    std::vector<double> vec_weights;
+    vec_terms.reserve(row.vector.size());
+    vec_weights.reserve(row.vector.size());
+    for (const auto& [term, weight] : row.vector.entries()) {
+      vec_terms.push_back(term);
+      vec_weights.push_back(weight);
+    }
+    out->Strings(terms);
+    out->U32s(row.modeler.doc_frequencies());
+    out->U64(row.modeler.num_train_docs());
+    out->Ids(vec_terms, /*wide=*/false);
+    out->F64s(vec_weights);
+    return snapshot::FingerprintTerms(terms);
+  }
+
+  Result<Row> Decode(RowReader* in, uint64_t* term_fingerprint) const {
+    std::vector<std::string> terms;
+    std::vector<uint32_t> df;
+    uint64_t num_train_docs = 0;
+    std::vector<uint64_t> vec_terms;
+    std::vector<double> vec_weights;
+    MICROREC_RETURN_IF_ERROR(in->Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(in->U32s(&df, "document frequencies"));
+    MICROREC_RETURN_IF_ERROR(in->U64(&num_train_docs, "train doc count"));
+    MICROREC_RETURN_IF_ERROR(
+        in->Ids(&vec_terms, /*wide=*/false, "vector term ids"));
+    MICROREC_RETURN_IF_ERROR(in->F64s(&vec_weights, "vector weights"));
+    MICROREC_RETURN_IF_ERROR(in->End());
+    const std::string& who = in->origin();
+    for (uint64_t t : vec_terms) {
+      if (t > UINT32_MAX) {
+        return Status::DataLoss(who + ": vector term id " +
+                                std::to_string(t) + " exceeds 32 bits");
+      }
+    }
     if (df.size() > terms.size()) {
       return Status::InvalidArgument(
           who + " has " + std::to_string(df.size()) +
@@ -646,343 +329,133 @@ class BagEngine : public Engine, public SparseProfileScorer {
             who + " vector references term " + std::to_string(vec_terms[e]) +
             " outside vocabulary of " + std::to_string(terms.size()));
       }
-      entries.emplace_back(vec_terms[e], vec_weights[e]);
+      entries.emplace_back(static_cast<bag::TermId>(vec_terms[e]),
+                           vec_weights[e]);
     }
-    auto state = std::make_unique<UserState>(config_.bag);
-    state->modeler.RestoreFitted(terms, std::move(df), num_train_docs);
-    state->vector = bag::SparseVector::FromUnsorted(std::move(entries));
-    *out = std::move(state);
-    return Status::OK();
-  }
-
-  /// Decodes one v2 row (see SaveSnapshot's compressed branch for the
-  /// layout). `origin` already names the file and user.
-  Status DecodeUserRow(std::string_view row, const std::string& origin,
-                       std::unique_ptr<UserState>* out,
-                       uint64_t* term_fingerprint) const {
-    size_t pos = 0;
-    std::vector<std::string> terms;
-    std::vector<uint32_t> df;
-    uint64_t num_train_docs = 0;
-    std::vector<uint64_t> wide_terms;
-    std::vector<double> vec_weights;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowStrings(row, &pos, &terms, origin, "terms"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowVarints(row, &pos, &df, origin, "document frequencies"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetVarint(row, &pos, &num_train_docs,
-                                                 0, origin,
-                                                 "train doc count"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetDeltaIds(
-        row, &pos, &wide_terms, row.size(), 0, origin, "vector term ids"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &vec_weights, origin, "vector weights"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, origin));
-    std::vector<uint32_t> vec_terms;
-    vec_terms.reserve(wide_terms.size());
-    for (uint64_t t : wide_terms) {
-      if (t > UINT32_MAX) {
-        return Status::DataLoss(origin + ": vector term id " +
-                                std::to_string(t) + " exceeds 32 bits");
-      }
-      vec_terms.push_back(static_cast<uint32_t>(t));
-    }
-    MICROREC_RETURN_IF_ERROR(BuildUserState(origin, terms, std::move(df),
-                                            num_train_docs, vec_terms,
-                                            vec_weights, out));
+    BagUser user{bag::BagModeler(config_), {}};
+    user.modeler.RestoreFitted(terms, std::move(df), num_train_docs);
+    user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
     *term_fingerprint = snapshot::FingerprintTerms(terms);
-    return Status::OK();
+    return user;
   }
 
-  /// Resident lookup, materializing from the map on miss (mapped mode
-  /// only). Caller thread only. nullptr = absent or (counted) corrupt.
-  /// Non-const result: embedding interns vocabulary into the modeler.
-  UserState* EnsureUser(UserId u) const {
-    auto it = users_.find(u);
-    if (it != users_.end()) {
-      if (lru_.Contains(u)) lru_.Touch(u);
-      return it->second.get();
-    }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::unique_ptr<UserState> state;
-    uint64_t term_fingerprint = 0;
-    if (status.ok()) {
-      status = DecodeUserRow(
-          row, mapped_file_->origin() + ": bag user " + std::to_string(u),
-          &state, &term_fingerprint);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    UserState* raw = state.get();
-    users_[u] = std::move(state);
-    if (std::optional<UserId> victim = lru_.Touch(u)) users_.erase(*victim);
-    return raw;
+  std::string RowOrigin(const std::string& file_origin, std::string_view,
+                        uint64_t id, bool /*mapped*/) const {
+    return file_origin + ": bag user " + std::to_string(id);
   }
 
-  ModelConfig config_;
-  mutable std::unordered_map<UserId, std::unique_ptr<UserState>> users_;
-  bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  mutable MappedLruTracker<UserId> lru_;
-  std::unordered_set<UserId> invalidated_;
-  mutable Status mapped_error_;
+ private:
+  bag::BagConfig config_;
 };
 
-// ---- Graph engine (TNG / CNG). ----
-
-class GraphEngine : public Engine {
+class BagEngine : public UserModelEngine<BagCodec>,
+                  public SparseProfileScorer {
  public:
-  explicit GraphEngine(const ModelConfig& config) : config_(config) {}
+  explicit BagEngine(const ModelConfig& config)
+      : UserModelEngine(config, BagCodec(config.bag)), kernel_(config.bag) {}
 
-  Status Prepare(const EngineContext& ctx) override {
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
-    return Status::OK();
+  SparseProfileScorer* sparse_scorer() override { return this; }
+
+  const bag::SparseVector* Profile(UserId u) const override {
+    const BagUser* user = users_.Find(u);
+    return user == nullptr ? nullptr : &user->vector;
+  }
+
+  bag::SparseVector Embed(UserId u, TweetId d,
+                          const EngineContext& ctx) override {
+    BagUser* user = users_.Find(u);
+    if (user == nullptr) return {};
+    return user->modeler.EmbedDocument(ctx.pre->Filtered(d));
+  }
+
+  double Kernel(UserId u, const bag::SparseVector& profile,
+                const bag::SparseVector& doc) const override {
+    (void)u;
+    return kernel_.Score(profile, doc);
   }
 
   Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
                    const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      mapped_error_ = Status::OK();
-      if (EnsureUser(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-    }
-    if (loaded_from_snapshot_ && users_.count(u) > 0) return Status::OK();
+    // Held, or materialized from the map: nothing to build. Decode
+    // corruption surfaces here as a Status instead of being deferred to a
+    // scoring path that cannot return one.
+    Status error;
+    if (users_.Find(u, &error) != nullptr) return Status::OK();
+    MICROREC_RETURN_IF_ERROR(error);
     obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    auto state = std::make_unique<UserState>(config_.graph);
-    std::vector<std::vector<std::string>> docs;
+    BagUser user{bag::BagModeler(config_.bag), {}};
+    std::vector<bag::TokenDoc> docs;
     docs.reserve(train.docs.size());
     for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
-    state->graph = state->modeler.BuildUserGraph(docs);
-    users_[u] = std::move(state);
+    user.modeler.Fit(docs);
+    user.vector = user.modeler.BuildUserVector(docs, train.positive);
+    users_.Put(u, std::move(user));
     return Status::OK();
   }
 
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    UserState* state = EnsureUser(u);
-    if (state == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted by EnsureUser
-      state = users_.at(u).get();
-    }
-    graph::NgramGraph doc =
-        state->modeler.BuildDocGraph(ctx.pre->Filtered(d));
-    return state->modeler.Score(state->graph, doc);
-  }
-
-  void InvalidateUser(UserId u) override {
-    users_.erase(u);
-    lru_.Erase(u);
-    if (mapped_) invalidated_.insert(u);
-  }
-
-  Status SaveSnapshot(const std::string& path,
-                      const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
-    std::vector<UserId> ids;
-    ids.reserve(users_.size());
-    for (const auto& [u, state] : users_) ids.push_back(u);
-    std::sort(ids.begin(), ids.end());
-
-    if (ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed) {
-      snapshot::TableBuilder table;
-      uint64_t fingerprint = kFnvBasis;
-      for (UserId u : ids) {
-        const UserState& state = *users_.at(u);
-        std::vector<std::string> terms =
-            VocabTerms(state.modeler.vocabulary());
-        std::vector<uint64_t> keys;
-        keys.reserve(state.graph.size());
-        for (const auto& [key, weight] : state.graph.edges()) {
-          keys.push_back(key);
-        }
-        std::sort(keys.begin(), keys.end());
-        std::vector<double> weights;
-        weights.reserve(keys.size());
-        for (uint64_t key : keys) {
-          weights.push_back(state.graph.edges().at(key));
-        }
-        std::string row;
-        PutRowStrings(&row, terms);
-        // Sorted edge keys delta-encode down to a few bytes each (the two
-        // packed term ids of adjacent edges share their high halves).
-        snapshot::PutDeltaIds(&row, keys);
-        PutRowF64s(&row, weights);
-        MICROREC_RETURN_IF_ERROR(table.AddRow(u, row));
-        fingerprint = MixFingerprint(fingerprint, u);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-      writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-      writer.AddSection("users", std::move(table).Finish());
-      return writer.Commit(path);
-    }
-
-    snapshot::Encoder enc;
-    enc.PutU64(ids.size());
-    uint64_t fingerprint = kFnvBasis;
-    for (UserId u : ids) {
-      const UserState& state = *users_.at(u);
-      std::vector<std::string> terms = VocabTerms(state.modeler.vocabulary());
-      enc.PutU64(u);
-      enc.PutVecString(terms);
-      // Edges sorted by canonical key so the same graph always serializes
-      // to the same bytes (unordered_map order is process-dependent).
-      std::vector<uint64_t> keys;
-      keys.reserve(state.graph.size());
-      for (const auto& [key, weight] : state.graph.edges()) {
-        keys.push_back(key);
-      }
-      std::sort(keys.begin(), keys.end());
-      std::vector<double> weights;
-      weights.reserve(keys.size());
-      for (uint64_t key : keys) {
-        weights.push_back(state.graph.edges().at(key));
-      }
-      enc.PutVecU64(keys);
-      enc.PutVecF64(weights);
-      fingerprint = MixFingerprint(fingerprint, u);
-      fingerprint =
-          MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-    }
-    snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-    writer.AddSection("users", enc.Release());
-    return writer.Commit(path);
-  }
-
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
-    Result<snapshot::File> file = snapshot::File::Load(path);
-    if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-    std::unordered_map<UserId, std::unique_ptr<UserState>> users;
-    uint64_t fingerprint = kFnvBasis;
-
-    if (file->version() == 2) {
-      Result<const snapshot::Section*> section = file->Find("users");
-      if (!section.ok()) return section.status();
-      const std::string& payload = (*section)->payload;
-      const std::string origin = file->origin() + ":section \"users\"";
-      snapshot::TableIndex index;
-      MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-          payload, payload.size(), &index, (*section)->payload_offset,
-          origin));
-      for (size_t i = 0; i < index.ids.size(); ++i) {
-        const uint64_t user = index.ids[i];
-        std::string_view row = std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-        std::unique_ptr<UserState> state;
-        uint64_t term_fingerprint = 0;
-        MICROREC_RETURN_IF_ERROR(DecodeUserRow(
-            row, file->origin() + ": graph user " + std::to_string(user),
-            &state, &term_fingerprint));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint = MixFingerprint(fingerprint, term_fingerprint);
-      }
-    } else {
-      Result<snapshot::Decoder> dec = file->OpenSection("users");
-      if (!dec.ok()) return dec.status();
-      uint64_t count = 0;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t user = 0;
-        std::vector<std::string> terms;
-        std::vector<uint64_t> keys;
-        std::vector<double> weights;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-        std::unique_ptr<UserState> state;
-        MICROREC_RETURN_IF_ERROR(BuildUserState(
-            file->origin() + ": graph user " + std::to_string(user), terms,
-            keys, weights, &state));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-    }
-
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
-    users_ = std::move(users);
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
-  }
-
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
-    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
-    auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> table =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!table.ok()) return table.status();
-    mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*table));
-    lru_.set_capacity(ctx.mapped_user_cache);
-    users_.clear();
-    invalidated_.clear();
-    mapped_ = true;
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
+    BagUser* user = users_.Find(u);
+    if (user == nullptr) return 0.0;  // absent, or a corrupt row (counted)
+    bag::SparseVector doc = user->modeler.EmbedDocument(ctx.pre->Filtered(d));
+    return user->modeler.Score(user->vector, doc);
   }
 
  private:
-  struct UserState {
-    explicit UserState(const graph::GraphConfig& config) : modeler(config) {}
-    graph::GraphModeler modeler;
-    graph::NgramGraph graph;
-  };
+  // BagModeler::Score reads only the configuration, so one unfitted modeler
+  // is every user's kernel — pure and safe on shard threads.
+  const bag::BagModeler kernel_;
+};
 
-  Status BuildUserState(const std::string& who,
-                        const std::vector<std::string>& terms,
-                        const std::vector<uint64_t>& keys,
-                        const std::vector<double>& weights,
-                        std::unique_ptr<UserState>* out) const {
+// ---- Graph engine (TNG / CNG). ----
+
+struct GraphUser {
+  graph::GraphModeler modeler;
+  graph::NgramGraph graph;
+};
+
+// A graph row: the user's vocabulary, then her edges sorted by canonical
+// key so the same graph always serializes to the same bytes (unordered_map
+// order is process-dependent); in v2 sorted keys delta-encode down to a few
+// bytes each (the packed term ids of adjacent edges share their high
+// halves). Its term fingerprint is over the vocabulary.
+class GraphCodec {
+ public:
+  using Row = GraphUser;
+
+  explicit GraphCodec(const graph::GraphConfig& config) : config_(config) {}
+
+  uint64_t Encode(const Row& row, RowWriter* out) const {
+    std::vector<std::string> terms = VocabTerms(row.modeler.vocabulary());
+    std::vector<uint64_t> keys;
+    keys.reserve(row.graph.size());
+    for (const auto& [key, weight] : row.graph.edges()) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    std::vector<double> weights;
+    weights.reserve(keys.size());
+    for (uint64_t key : keys) weights.push_back(row.graph.edges().at(key));
+    out->Strings(terms);
+    out->Ids(keys, /*wide=*/true);
+    out->F64s(weights);
+    return snapshot::FingerprintTerms(terms);
+  }
+
+  Result<Row> Decode(RowReader* in, uint64_t* term_fingerprint) const {
+    std::vector<std::string> terms;
+    std::vector<uint64_t> keys;
+    std::vector<double> weights;
+    MICROREC_RETURN_IF_ERROR(in->Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(in->Ids(&keys, /*wide=*/true, "edge keys"));
+    MICROREC_RETURN_IF_ERROR(in->F64s(&weights, "edge weights"));
+    MICROREC_RETURN_IF_ERROR(in->End());
+    const std::string& who = in->origin();
     if (keys.size() != weights.size()) {
       return Status::InvalidArgument(
           who + " has mismatched edge key/weight counts");
     }
-    auto state = std::make_unique<UserState>(config_.graph);
-    state->modeler.RestoreVocabulary(terms);
+    GraphUser user{graph::GraphModeler(config_), {}};
+    user.modeler.RestoreVocabulary(terms);
     for (size_t e = 0; e < keys.size(); ++e) {
       uint32_t a = static_cast<uint32_t>(keys[e] >> 32);
       uint32_t b = static_cast<uint32_t>(keys[e] & 0xFFFFFFFFu);
@@ -991,91 +464,97 @@ class GraphEngine : public Engine {
             who + " edge references term outside vocabulary of " +
             std::to_string(terms.size()));
       }
-      state->graph.AddEdgeByKey(keys[e], weights[e]);
+      user.graph.AddEdgeByKey(keys[e], weights[e]);
     }
-    *out = std::move(state);
-    return Status::OK();
-  }
-
-  Status DecodeUserRow(std::string_view row, const std::string& origin,
-                       std::unique_ptr<UserState>* out,
-                       uint64_t* term_fingerprint) const {
-    size_t pos = 0;
-    std::vector<std::string> terms;
-    std::vector<uint64_t> keys;
-    std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowStrings(row, &pos, &terms, origin, "terms"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetDeltaIds(
-        row, &pos, &keys, row.size(), 0, origin, "edge keys"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &weights, origin, "edge weights"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, origin));
-    MICROREC_RETURN_IF_ERROR(
-        BuildUserState(origin, terms, keys, weights, out));
     *term_fingerprint = snapshot::FingerprintTerms(terms);
+    return user;
+  }
+
+  std::string RowOrigin(const std::string& file_origin, std::string_view,
+                        uint64_t id, bool /*mapped*/) const {
+    return file_origin + ": graph user " + std::to_string(id);
+  }
+
+ private:
+  graph::GraphConfig config_;
+};
+
+class GraphEngine : public UserModelEngine<GraphCodec> {
+ public:
+  explicit GraphEngine(const ModelConfig& config)
+      : UserModelEngine(config, GraphCodec(config.graph)) {}
+
+  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
+                   const EngineContext& ctx) override {
+    Status error;
+    if (users_.Find(u, &error) != nullptr) return Status::OK();
+    MICROREC_RETURN_IF_ERROR(error);
+    obs::ScopedHistogramTimer timer(BuildUserHistogram());
+    GraphUser user{graph::GraphModeler(config_.graph), {}};
+    std::vector<std::vector<std::string>> docs;
+    docs.reserve(train.docs.size());
+    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
+    user.graph = user.modeler.BuildUserGraph(docs);
+    users_.Put(u, std::move(user));
     return Status::OK();
   }
 
-  UserState* EnsureUser(UserId u) const {
-    auto it = users_.find(u);
-    if (it != users_.end()) {
-      if (lru_.Contains(u)) lru_.Touch(u);
-      return it->second.get();
-    }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::unique_ptr<UserState> state;
-    uint64_t term_fingerprint = 0;
-    if (status.ok()) {
-      status = DecodeUserRow(
-          row, mapped_file_->origin() + ": graph user " + std::to_string(u),
-          &state, &term_fingerprint);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    UserState* raw = state.get();
-    users_[u] = std::move(state);
-    if (std::optional<UserId> victim = lru_.Touch(u)) users_.erase(*victim);
-    return raw;
+  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
+    obs::ScopedHistogramTimer timer(ScoreHistogram());
+    ScoreCounter()->Increment();
+    GraphUser* user = users_.Find(u);
+    if (user == nullptr) return 0.0;  // absent, or a corrupt row (counted)
+    graph::NgramGraph doc = user->modeler.BuildDocGraph(ctx.pre->Filtered(d));
+    return user->modeler.Score(user->graph, doc);
   }
-
-  ModelConfig config_;
-  mutable std::unordered_map<UserId, std::unique_ptr<UserState>> users_;
-  bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  mutable MappedLruTracker<UserId> lru_;
-  std::unordered_set<UserId> invalidated_;
-  mutable Status mapped_error_;
 };
 
 // ---- Topic engine (LDA, LLDA, HDP, HLDA, BTM, PLSA). ----
 
-class TopicEngine : public Engine {
+// A topic distribution keyed by user (the user models) or by tweet (the
+// inference cache): one f64 vector, no term fingerprint (the vocabulary
+// section carries the topic engine's).
+struct DistCodec {
+  using Row = std::vector<double>;
+
+  /// Names a mapped row in errors ("topic user", "cached inference").
+  const char* label = "";
+
+  uint64_t Encode(const Row& row, RowWriter* out) const {
+    out->F64s(row);
+    return 0;
+  }
+
+  Result<Row> Decode(RowReader* in, uint64_t* /*term_fingerprint*/) const {
+    Row dist;
+    MICROREC_RETURN_IF_ERROR(in->F64s(&dist, "distribution"));
+    MICROREC_RETURN_IF_ERROR(in->End());
+    return dist;
+  }
+
+  // A resident load names the section row; a mapped read names the key.
+  std::string RowOrigin(const std::string& file_origin,
+                        std::string_view section, uint64_t id,
+                        bool mapped) const {
+    if (mapped) return file_origin + ": " + label + " " + std::to_string(id);
+    return file_origin + ":section \"" + std::string(section) + "\" row " +
+           std::to_string(id);
+  }
+};
+
+class TopicEngine : public PersistentEngine {
  public:
   explicit TopicEngine(const ModelConfig& config)
-      : config_(config), rng_(0xABCD) {}
+      : PersistentEngine(config),
+        rng_(0xABCD),
+        users_(DistCodec{"topic user"}),
+        infer_(DistCodec{"cached inference"}) {}
 
   Status Prepare(const EngineContext& ctx) override {
     MICROREC_SPAN("topic_prepare");
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
+    Result<bool> warmed = WarmStart(ctx);
+    if (!warmed.ok()) return warmed.status();
+    if (*warmed) return Status::OK();
     rng_ = Rng(ctx.seed, streams::kTopicEngine);
     const auto& pre = *ctx.pre;
     const TopicRunConfig& tc = config_.topic;
@@ -1133,6 +612,134 @@ class TopicEngine : public Engine {
     MICROREC_RETURN_IF_ERROR(
         MakeModel(ctx, labels != nullptr ? labels->num_labels() : 0));
     return model_->Train(docs_, &rng_);
+  }
+
+  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
+                   const EngineContext& ctx) override {
+    Status error;
+    if (users_.Find(u, &error) != nullptr) return Status::OK();
+    MICROREC_RETURN_IF_ERROR(error);
+    // Not held and not in the snapshot: fold-in inference needs the model.
+    MICROREC_RETURN_IF_ERROR(EnsureModel(ctx));
+    obs::ScopedHistogramTimer timer(BuildUserHistogram());
+    // Documents with no vocabulary evidence (all words unseen in training)
+    // carry no topical information and are excluded from the aggregate.
+    fold_in_error_ = Status::OK();
+    std::vector<std::vector<double>> dists;
+    std::vector<bool> labels;
+    dists.reserve(train.docs.size());
+    for (size_t i = 0; i < train.docs.size(); ++i) {
+      const std::vector<double>& dist = Infer(train.docs[i], ctx);
+      if (dist.empty()) continue;
+      dists.push_back(dist);
+      labels.push_back(train.positive[i]);
+    }
+    users_.Put(u, topic::AggregateDistributions(
+                      dists, labels,
+                      config_.topic.aggregation == TopicAggregation::kRocchio));
+    return fold_in_error_;
+  }
+
+  void InvalidateUser(UserId u) override { users_.Invalidate(u); }
+
+  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
+    obs::ScopedHistogramTimer timer(ScoreHistogram());
+    ScoreCounter()->Increment();
+    // nullptr: absent, or a corrupt row (counted).
+    const std::vector<double>* user = users_.Find(u);
+    if (user == nullptr || user->empty()) return 0.0;
+    const std::vector<double>& doc = Infer(d, ctx);
+    // No known words -> no evidence of relevance.
+    if (doc.empty()) return 0.0;
+    return topic::TopicCosine(*user, doc);
+  }
+
+  Status SaveSnapshot(const std::string& path,
+                      const EngineContext& ctx) const override {
+    std::string users, infer_cache;
+    uint64_t unused = 0;
+    MICROREC_RETURN_IF_ERROR(
+        users_.Save(ctx.snapshot_codec, path, &users, &unused));
+    MICROREC_RETURN_IF_ERROR(
+        infer_.Save(ctx.snapshot_codec, path, &infer_cache, &unused));
+    if (model_ == nullptr) {
+      return Status::FailedPrecondition("SaveSnapshot() before Prepare()");
+    }
+    std::vector<std::string> terms = docs_.Terms();
+    snapshot::Writer writer =
+        NewWriter(ctx, snapshot::FingerprintTerms(terms));
+    {
+      snapshot::Encoder enc;
+      enc.PutVecString(terms);
+      writer.AddSection("vocab", enc.Release());
+    }
+    {
+      // The model section keeps its v1 inner encoding in both codecs: a
+      // trained phi is topic-major with long runs of the identical
+      // smoothing value for zero-count words, which the v2 block
+      // compression collapses without a bespoke encoding.
+      snapshot::Encoder enc;
+      model_->SaveState(&enc);
+      writer.AddSection("model", enc.Release());
+    }
+    {
+      // Generator state as of now: a warm-started engine resumes the draw
+      // sequence exactly where this one left off, so inference it performs
+      // after loading is bit-identical to inference this one would perform.
+      snapshot::Encoder enc;
+      SaveRngState(rng_, &enc);
+      writer.AddSection("rng", enc.Release());
+    }
+    writer.AddSection("users", std::move(users));
+    // The inference cache makes warm scoring of already-seen tweets a
+    // lookup instead of a Gibbs fold-in — this is what turns
+    // train-once/recommend-many into milliseconds per query.
+    writer.AddSection("infer_cache", std::move(infer_cache));
+    return writer.Commit(path);
+  }
+
+ protected:
+  Status LoadState(const snapshot::File& file,
+                   const EngineContext& ctx) override {
+    Result<snapshot::Decoder> vocab = file.OpenSection("vocab");
+    if (!vocab.ok()) return vocab.status();
+    MICROREC_RETURN_IF_ERROR(RestoreVocabulary(
+        &*vocab, file.origin(), file.header().vocab_fingerprint, ctx));
+    Result<snapshot::Decoder> model = file.OpenSection("model");
+    if (!model.ok()) return model.status();
+    MICROREC_RETURN_IF_ERROR(model_->LoadState(&*model));
+    Result<snapshot::Decoder> rng = file.OpenSection("rng");
+    if (!rng.ok()) return rng.status();
+    MICROREC_RETURN_IF_ERROR(LoadRngState(&*rng, &rng_));
+    MICROREC_RETURN_IF_ERROR(Adopt(
+        users_.Loaded(file, "users", /*verify_fingerprint=*/false), &users_));
+    return Adopt(
+        infer_.Loaded(file, "infer_cache", /*verify_fingerprint=*/false),
+        &infer_);
+  }
+
+  Status MapState(const snapshot::MappedFile& file,
+                  const EngineContext& ctx) override {
+    Result<UserStore<UserId, DistCodec>> users =
+        users_.Mapped(file, "users", ctx.mapped_user_cache);
+    if (!users.ok()) return users.status();
+    // Cached inferences are smaller than user models but hotter (every
+    // candidate in every query); give them the same bound scaled up.
+    Result<UserStore<TweetId, DistCodec>> infer =
+        infer_.Mapped(file, "infer_cache", ctx.mapped_user_cache * 4);
+    if (!infer.ok()) return infer.status();
+    // The generator state is tiny and order-sensitive: restore it eagerly
+    // so the first fresh fold-in draws exactly what the saving engine would
+    // have drawn next. The O(model) vocab/model sections stay on disk until
+    // EnsureModel() — cache-hit serving never pays for them.
+    std::string rng_bytes;
+    Result<snapshot::Decoder> rng = OpenMappedSection(file, "rng", &rng_bytes);
+    if (!rng.ok()) return rng.status();
+    MICROREC_RETURN_IF_ERROR(LoadRngState(&*rng, &rng_));
+    users_ = std::move(*users);
+    infer_ = std::move(*infer);
+    model_.reset();
+    return Status::OK();
   }
 
  private:
@@ -1224,352 +831,39 @@ class TopicEngine : public Engine {
     return Status::OK();
   }
 
- public:
-  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
-                   const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      mapped_error_ = Status::OK();
-      if (EnsureUserDist(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-      // Absent from the snapshot: fold-in inference below needs the model.
-    }
-    if (mapped_) MICROREC_RETURN_IF_ERROR(EnsureModel(ctx));
-    if (model_ == nullptr) {
-      return Status::FailedPrecondition("Prepare() not called");
-    }
-    if (loaded_from_snapshot_ && user_models_.count(u) > 0) {
-      return Status::OK();
-    }
-    obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    // Documents with no vocabulary evidence (all words unseen in training)
-    // carry no topical information and are excluded from the aggregate.
-    std::vector<std::vector<double>> dists;
-    std::vector<bool> labels;
-    dists.reserve(train.docs.size());
-    for (size_t i = 0; i < train.docs.size(); ++i) {
-      const std::vector<double>& dist = Infer(train.docs[i], ctx);
-      if (dist.empty()) continue;
-      dists.push_back(dist);
-      labels.push_back(train.positive[i]);
-    }
-    user_models_[u] = topic::AggregateDistributions(
-        dists, labels,
-        config_.topic.aggregation == TopicAggregation::kRocchio);
-    MICROREC_RETURN_IF_ERROR(mapped_error_);
-    return Status::OK();
-  }
-
-  void InvalidateUser(UserId u) override {
-    user_models_.erase(u);
-    user_lru_.Erase(u);
-    if (mapped_) invalidated_.insert(u);
-  }
-
-  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
-    obs::ScopedHistogramTimer timer(ScoreHistogram());
-    ScoreCounter()->Increment();
-    const std::vector<double>* user = EnsureUserDist(u);
-    if (user == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted on the miss
-      user = &user_models_.at(u);
-    }
-    if (user->empty()) return 0.0;
-    const std::vector<double>& doc = Infer(d, ctx);
-    // No known words -> no evidence of relevance.
-    if (doc.empty()) return 0.0;
-    return topic::TopicCosine(*user, doc);
-  }
-
-  Status SaveSnapshot(const std::string& path,
-                      const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
-    if (model_ == nullptr) {
-      return Status::FailedPrecondition("SaveSnapshot() before Prepare()");
-    }
-    const bool compressed =
-        ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed;
-    std::vector<std::string> terms = docs_.Terms();
-    snapshot::Writer writer(MakeSnapshotHeader(
-        config_, ctx, snapshot::FingerprintTerms(terms)));
-    if (compressed) writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-    {
-      snapshot::Encoder enc;
-      enc.PutVecString(terms);
-      writer.AddSection("vocab", enc.Release());
-    }
-    {
-      // The model section keeps its v1 inner encoding in both codecs: a
-      // trained phi is topic-major with long runs of the identical
-      // smoothing value for zero-count words, which the v2 block
-      // compression collapses without a bespoke encoding.
-      snapshot::Encoder enc;
-      model_->SaveState(&enc);
-      writer.AddSection("model", enc.Release());
-    }
-    {
-      // Generator state as of now: a warm-started engine resumes the draw
-      // sequence exactly where this one left off, so inference it performs
-      // after loading is bit-identical to inference this one would perform.
-      snapshot::Encoder enc;
-      SaveRngState(rng_, &enc);
-      writer.AddSection("rng", enc.Release());
-    }
-    std::vector<UserId> user_ids;
-    user_ids.reserve(user_models_.size());
-    for (const auto& [u, dist] : user_models_) user_ids.push_back(u);
-    std::sort(user_ids.begin(), user_ids.end());
-    std::vector<TweetId> tweet_ids;
-    tweet_ids.reserve(infer_cache_.size());
-    for (const auto& [id, dist] : infer_cache_) tweet_ids.push_back(id);
-    std::sort(tweet_ids.begin(), tweet_ids.end());
-    if (compressed) {
-      snapshot::TableBuilder users;
-      for (UserId u : user_ids) {
-        std::string row;
-        PutRowF64s(&row, user_models_.at(u));
-        MICROREC_RETURN_IF_ERROR(users.AddRow(u, row));
-      }
-      writer.AddSection("users", std::move(users).Finish());
-      snapshot::TableBuilder cache;
-      for (TweetId id : tweet_ids) {
-        std::string row;
-        PutRowF64s(&row, infer_cache_.at(id));
-        MICROREC_RETURN_IF_ERROR(cache.AddRow(id, row));
-      }
-      writer.AddSection("infer_cache", std::move(cache).Finish());
-      return writer.Commit(path);
-    }
-    {
-      snapshot::Encoder enc;
-      enc.PutU64(user_ids.size());
-      for (UserId u : user_ids) SaveDistribution(u, user_models_.at(u), &enc);
-      writer.AddSection("users", enc.Release());
-    }
-    {
-      // The inference cache makes warm scoring of already-seen tweets a
-      // lookup instead of a Gibbs fold-in — this is what turns
-      // train-once/recommend-many into milliseconds per query.
-      snapshot::Encoder enc;
-      enc.PutU64(tweet_ids.size());
-      for (TweetId id : tweet_ids) {
-        SaveDistribution(id, infer_cache_.at(id), &enc);
-      }
-      writer.AddSection("infer_cache", enc.Release());
-    }
-    return writer.Commit(path);
-  }
-
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
-    Result<snapshot::File> file = snapshot::File::Load(path);
-    if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-
-    Result<snapshot::Decoder> vocab_dec = file->OpenSection("vocab");
-    if (!vocab_dec.ok()) return vocab_dec.status();
+  /// Adopts a persisted vocabulary (checked against the header's
+  /// fingerprint) and instantiates the model it indexes, untrained.
+  Status RestoreVocabulary(snapshot::Decoder* dec, const std::string& origin,
+                           uint64_t fingerprint, const EngineContext& ctx) {
     std::vector<std::string> terms;
-    MICROREC_RETURN_IF_ERROR(vocab_dec->ReadVecString(&terms));
-    MICROREC_RETURN_IF_ERROR(vocab_dec->ExpectEnd());
-    const uint64_t fingerprint = snapshot::FingerprintTerms(terms);
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
+    MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
+    MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
+    MICROREC_RETURN_IF_ERROR(CheckVocabFingerprint(
+        origin, fingerprint, snapshot::FingerprintTerms(terms)));
     docs_ = topic::DocSet();
     docs_.RestoreVocabulary(terms);
-
-    MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0));
-    Result<snapshot::Decoder> model_dec = file->OpenSection("model");
-    if (!model_dec.ok()) return model_dec.status();
-    MICROREC_RETURN_IF_ERROR(model_->LoadState(&*model_dec));
-
-    Result<snapshot::Decoder> rng_dec = file->OpenSection("rng");
-    if (!rng_dec.ok()) return rng_dec.status();
-    MICROREC_RETURN_IF_ERROR(LoadRngState(&*rng_dec, &rng_));
-
-    std::unordered_map<UserId, std::vector<double>> user_models;
-    std::unordered_map<TweetId, std::vector<double>> infer_cache;
-    if (file->version() == 2) {
-      MICROREC_RETURN_IF_ERROR(
-          LoadDistTableV2(*file, "users", &user_models));
-      MICROREC_RETURN_IF_ERROR(
-          LoadDistTableV2(*file, "infer_cache", &infer_cache));
-    } else {
-      {
-        Result<snapshot::Decoder> dec = file->OpenSection("users");
-        if (!dec.ok()) return dec.status();
-        uint64_t count = 0;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t user = 0;
-          std::vector<double> dist;
-          MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-          MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
-          user_models[static_cast<UserId>(user)] = std::move(dist);
-        }
-        MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-      }
-      {
-        Result<snapshot::Decoder> dec = file->OpenSection("infer_cache");
-        if (!dec.ok()) return dec.status();
-        uint64_t count = 0;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t tweet = 0;
-          std::vector<double> dist;
-          MICROREC_RETURN_IF_ERROR(dec->ReadU64(&tweet));
-          MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
-          infer_cache[tweet] = std::move(dist);
-        }
-        MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-      }
-    }
-    user_models_ = std::move(user_models);
-    infer_cache_ = std::move(infer_cache);
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
+    return MakeModel(ctx, /*llda_num_labels=*/0);
   }
 
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
-    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      // v1 sections have no random-access row index; serve the file
-      // resident with identical rankings (the memory win needs v2).
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
-    auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> users =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!users.ok()) return users.status();
-    Result<snapshot::MappedTable> cache =
-        snapshot::MappedTable::Open(*owned, "infer_cache");
-    if (!cache.ok()) return cache.status();
-    // The generator state is tiny and order-sensitive: restore it eagerly
-    // so the first fresh fold-in draws exactly what the saving engine would
-    // have drawn next. The O(model) vocab/model sections stay on disk until
-    // EnsureModel() — cache-hit serving never pays for them.
-    {
-      Result<const snapshot::MappedFile::MappedSection*> sec =
-          owned->Find("rng");
-      if (!sec.ok()) return sec.status();
-      std::string bytes;
-      MICROREC_RETURN_IF_ERROR(owned->ReadSection("rng", &bytes));
-      snapshot::Decoder dec(bytes, (*sec)->payload_offset);
-      MICROREC_RETURN_IF_ERROR(LoadRngState(&dec, &rng_));
-      MICROREC_RETURN_IF_ERROR(dec.ExpectEnd());
-    }
-    mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*users));
-    mapped_infer_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*cache));
-    user_lru_.set_capacity(ctx.mapped_user_cache);
-    // Cached inferences are smaller than user models but hotter (every
-    // candidate in every query); give them the same bound scaled up.
-    infer_lru_.set_capacity(ctx.mapped_user_cache * 4);
-    user_models_.clear();
-    infer_cache_.clear();
-    invalidated_.clear();
-    model_.reset();
-    mapped_ = true;
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
-  }
-
- private:
   /// Mapped mode defers the O(model) sections (vocabulary + trained
   /// counts/phi) until something actually needs the model: a fold-in for a
   /// tweet absent from the persisted inference cache, or a cold user build.
   /// Verifies the vocabulary fingerprint exactly like the resident load.
   Status EnsureModel(const EngineContext& ctx) {
     if (model_ != nullptr) return Status::OK();
-    if (!mapped_) return Status::FailedPrecondition("Prepare() not called");
-    Result<const snapshot::MappedFile::MappedSection*> vocab_sec =
-        mapped_file_->Find("vocab");
-    if (!vocab_sec.ok()) return vocab_sec.status();
-    std::string vocab_bytes;
-    MICROREC_RETURN_IF_ERROR(
-        mapped_file_->ReadSection("vocab", &vocab_bytes));
-    snapshot::Decoder vocab_dec(vocab_bytes, (*vocab_sec)->payload_offset);
-    std::vector<std::string> terms;
-    MICROREC_RETURN_IF_ERROR(vocab_dec.ReadVecString(&terms));
-    MICROREC_RETURN_IF_ERROR(vocab_dec.ExpectEnd());
-    const uint64_t fingerprint = snapshot::FingerprintTerms(terms);
-    if (fingerprint != mapped_file_->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          mapped_file_->origin() +
-          ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(mapped_file_->header().vocab_fingerprint) +
-          ", computed " + std::to_string(fingerprint) + ")");
-    }
-    docs_ = topic::DocSet();
-    docs_.RestoreVocabulary(terms);
-    MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0));
-    Result<const snapshot::MappedFile::MappedSection*> model_sec =
-        mapped_file_->Find("model");
-    if (!model_sec.ok()) {
-      model_.reset();
-      return model_sec.status();
-    }
-    std::string model_bytes;
-    Status read = mapped_file_->ReadSection("model", &model_bytes);
-    if (!read.ok()) {
-      model_.reset();
-      return read;
-    }
-    snapshot::Decoder model_dec(model_bytes, (*model_sec)->payload_offset);
-    Status loaded = model_->LoadState(&model_dec);
-    if (!loaded.ok()) {
-      model_.reset();
-      return loaded;
-    }
-    return Status::OK();
-  }
-
-  /// Resident lookup of a user distribution, materializing from the map on
-  /// miss (mapped mode only). Caller thread only. nullptr = absent or
-  /// (counted) corrupt. Materialized rows live behind user_lru_; cold-built
-  /// users are inserted directly by BuildUser and stay pinned.
-  const std::vector<double>* EnsureUserDist(UserId u) {
-    auto it = user_models_.find(u);
-    if (it != user_models_.end()) {
-      if (user_lru_.Contains(u)) user_lru_.Touch(u);
-      return &it->second;
-    }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::vector<double> dist;
-    if (status.ok()) {
-      const std::string origin =
-          mapped_file_->origin() + ": topic user " + std::to_string(u);
-      size_t pos = 0;
-      status = GetRowF64s(row, &pos, &dist, origin, "distribution");
-      if (status.ok()) status = ExpectRowEnd(row, pos, origin);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    auto [fresh, inserted] = user_models_.emplace(u, std::move(dist));
-    (void)inserted;
-    if (std::optional<UserId> victim = user_lru_.Touch(u)) {
-      user_models_.erase(*victim);
-    }
-    return &fresh->second;
+    const snapshot::MappedFile* file = mapped_file();
+    if (file == nullptr) return Status::FailedPrecondition("Prepare() not called");
+    std::string vocab_bytes, model_bytes;
+    Result<snapshot::Decoder> vocab =
+        OpenMappedSection(*file, "vocab", &vocab_bytes);
+    if (!vocab.ok()) return vocab.status();
+    MICROREC_RETURN_IF_ERROR(RestoreVocabulary(
+        &*vocab, file->origin(), file->header().vocab_fingerprint, ctx));
+    Result<snapshot::Decoder> model =
+        OpenMappedSection(*file, "model", &model_bytes);
+    Status loaded = model.ok() ? model_->LoadState(&*model) : model.status();
+    if (!loaded.ok()) model_.reset();
+    return loaded;
   }
 
   // Per-tweet topic distributions are shared across users (the same test or
@@ -1577,54 +871,29 @@ class TopicEngine : public Engine {
   // Returns the cached topic distribution of a tweet, or an *empty* vector
   // when none of its words appear in the training vocabulary.
   const std::vector<double>& Infer(TweetId id, const EngineContext& ctx) {
-    // Decode/model errors in this non-Status path degrade the tweet to
-    // no-evidence (empty distribution), are counted, and surface through
-    // mapped_error_ at the next BuildUser.
+    // A corrupt persisted inference or a model that fails to load degrades
+    // the tweet to no-evidence (an empty distribution) and is counted. A
+    // BuildUser in progress also returns it (fold_in_error_); under Score
+    // it is only counted, since BuildUser resets the slot before folding in.
     static const std::vector<double> kNoEvidence;
-    auto it = infer_cache_.find(id);
-    if (it != infer_cache_.end()) {
-      if (infer_lru_.Contains(id)) infer_lru_.Touch(id);
-      return it->second;
+    // Persisted inference first (mapped mode): a hit is a row decode, not a
+    // Gibbs fold-in, and consumes no generator draws (matching the resident
+    // engine, whose cache was loaded wholesale).
+    Status error;
+    if (const std::vector<double>* cached = infer_.Find(id, &error)) {
+      return *cached;
     }
-    if (mapped_) {
-      // Persisted inference first: a hit is a row decode, not a Gibbs
-      // fold-in, and consumes no generator draws (matching the resident
-      // engine, whose cache was loaded wholesale).
-      bool found = false;
-      std::string row;
-      Status status = mapped_infer_->Row(id, &found, &row);
-      if (status.ok() && found) {
-        const std::string origin = mapped_file_->origin() +
-                                   ": cached inference " +
-                                   std::to_string(id);
-        std::vector<double> dist;
-        size_t pos = 0;
-        status = GetRowF64s(row, &pos, &dist, origin, "distribution");
-        if (status.ok()) status = ExpectRowEnd(row, pos, origin);
-        if (status.ok()) {
-          auto [fresh, inserted] = infer_cache_.emplace(id, std::move(dist));
-          (void)inserted;
-          if (std::optional<TweetId> victim = infer_lru_.Touch(id)) {
-            infer_cache_.erase(*victim);
-          }
-          return fresh->second;
-        }
-      }
-      if (!status.ok()) {
-        MappedRowErrorCounter()->Increment();
-        mapped_error_ = status;
-        return kNoEvidence;
-      }
-      // Absent from the snapshot: fold in fresh, in the same call order
-      // (and hence the same rng draw sequence) as the resident engine.
-      // Fresh inferences are pinned — they cannot be re-materialized.
-      Status model_ready = EnsureModel(ctx);
-      if (!model_ready.ok()) {
-        MappedRowErrorCounter()->Increment();
-        mapped_error_ = model_ready;
-        return kNoEvidence;
-      }
+    if (error.ok()) {
+      error = EnsureModel(ctx);
+      if (!error.ok()) MappedRowErrorCounter()->Increment();
     }
+    if (!error.ok()) {
+      fold_in_error_ = error;
+      return kNoEvidence;
+    }
+    // Absent from the snapshot: fold in fresh, in the same call order (and
+    // hence the same rng draw sequence) as the resident engine. Fresh
+    // inferences are pinned — the map cannot re-materialize them.
     static obs::Histogram* infer_hist =
         obs::MetricsRegistry::Global().GetHistogram(
             "topic.infer_seconds");
@@ -1632,28 +901,16 @@ class TopicEngine : public Engine {
     std::vector<topic::TermId> words = docs_.Lookup(ctx.pre->Filtered(id));
     std::vector<double> dist;
     if (!words.empty()) dist = model_->InferDocument(words, &rng_);
-    auto [fresh, inserted] = infer_cache_.emplace(id, std::move(dist));
-    (void)inserted;
-    return fresh->second;
+    return infer_.Put(id, std::move(dist));
   }
 
-  ModelConfig config_;
   Rng rng_;
   topic::DocSet docs_;
   std::unique_ptr<topic::TopicModel> model_;
-  std::unordered_map<TweetId, std::vector<double>> infer_cache_;
-  std::unordered_map<UserId, std::vector<double>> user_models_;
-  bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  std::unique_ptr<snapshot::MappedTable> mapped_infer_;
-  MappedLruTracker<UserId> user_lru_;
-  MappedLruTracker<TweetId> infer_lru_;
-  std::unordered_set<UserId> invalidated_;
-  Status mapped_error_;
+  UserStore<UserId, DistCodec> users_;
+  UserStore<TweetId, DistCodec> infer_;
+  // The first fold-in error of the BuildUser in progress.
+  Status fold_in_error_;
 };
 
 }  // namespace

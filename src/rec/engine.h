@@ -140,7 +140,10 @@ class Engine {
   /// Global phase (topic models train here; others no-op).
   virtual Status Prepare(const EngineContext& ctx) = 0;
 
-  /// Builds the model of user `u` from her labelled train set.
+  /// Builds the model of user `u` from her labelled train set. A no-op
+  /// when the engine already holds u's model or can materialize it from a
+  /// mapped snapshot (DESIGN.md §16); InvalidateUser() is the only way to
+  /// force a rebuild.
   virtual Status BuildUser(corpus::UserId u,
                            const corpus::LabeledTrainSet& train,
                            const EngineContext& ctx) = 0;
@@ -151,10 +154,10 @@ class Engine {
 
   /// Drops user `u`'s model so the next BuildUser() rebuilds it from the
   /// (possibly extended) train set — the streaming-ingest rebuild hook.
-  /// Without this, a snapshot-warmed engine treats BuildUser as a no-op for
-  /// persisted users and an incremental update would be silently skipped.
-  /// Global state (topic model, vocabulary, inference caches) is untouched:
-  /// streaming applies fold-in inference over the frozen global phase.
+  /// Without this, BuildUser is a no-op for a held or persisted user and an
+  /// incremental update would be silently skipped. Global state (topic
+  /// model, vocabulary, inference caches) is untouched: streaming applies
+  /// fold-in inference over the frozen global phase.
   virtual void InvalidateUser(corpus::UserId u) { (void)u; }
 
   /// Persists everything needed to serve without retraining — the trained

@@ -194,14 +194,12 @@ Status DegradingRecommender::EnsureFallbackUser(corpus::UserId u) {
     MICROREC_RETURN_IF_ERROR(fallback_->Prepare(cold));
     fallback_ranker_ = MakeRanker(fallback_.get());
   }
-  if (fallback_users_.count(u) != 0) return Status::OK();
   if (!ctx_.train_set) {
     return Status::FailedPrecondition(
         "serving: context has no train_set accessor");
   }
-  MICROREC_RETURN_IF_ERROR(fallback_->BuildUser(u, ctx_.train_set(u), ctx_));
-  fallback_users_.insert(u);
-  return Status::OK();
+  // A no-op once the engine holds `u`.
+  return fallback_->BuildUser(u, ctx_.train_set(u), ctx_);
 }
 
 std::unique_ptr<BatchRanker> DegradingRecommender::MakeRanker(
@@ -312,11 +310,10 @@ RecommendResult DegradingRecommender::Recommend(
     obs::RequestTrace* attempt_trace = trace != nullptr ? &attempt : nullptr;
     Status primary = EnsurePrimary();
     if (primary.ok() && !deadline.Expired()) {
-      // Users absent from the snapshot are modeled on demand (the engine
-      // skips the ones the snapshot already restored).
-      if (primary_users_.count(u) == 0 && ctx_.train_set) {
+      // Users absent from the snapshot are modeled on demand; BuildUser is
+      // a no-op for users the engine holds or can materialize.
+      if (ctx_.train_set) {
         primary = primary_->BuildUser(u, ctx_.train_set(u), ctx_);
-        if (primary.ok()) primary_users_.insert(u);
       }
       if (primary.ok()) {
         primary = RankWith(primary_ranker_.get(), u, candidates, deadline,
@@ -392,9 +389,8 @@ Status DegradingRecommender::Warm() { return EnsurePrimary(); }
 Result<size_t> DegradingRecommender::ProfileLookup(corpus::UserId u) {
   Status primary = EnsurePrimary();
   if (primary.ok()) {
-    if (primary_users_.count(u) == 0 && ctx_.train_set) {
+    if (ctx_.train_set) {
       primary = primary_->BuildUser(u, ctx_.train_set(u), ctx_);
-      if (primary.ok()) primary_users_.insert(u);
     }
     if (primary.ok()) {
       SparseProfileScorer* scorer = primary_->sparse_scorer();

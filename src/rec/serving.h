@@ -22,7 +22,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/request.h"
@@ -202,11 +201,9 @@ class DegradingRecommender {
   Status primary_status_;
   std::unique_ptr<Engine> primary_;
   std::unique_ptr<BatchRanker> primary_ranker_;
-  std::unordered_set<corpus::UserId> primary_users_;
 
   std::unique_ptr<Engine> fallback_;
   std::unique_ptr<BatchRanker> fallback_ranker_;
-  std::unordered_set<corpus::UserId> fallback_users_;
 
   /// Global retweet count per original tweet id, built once.
   std::unordered_map<corpus::TweetId, uint64_t> retweet_counts_;

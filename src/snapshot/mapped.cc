@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -17,7 +16,6 @@ namespace microrec::snapshot {
 namespace {
 
 constexpr char kHeaderSection[] = "header";
-constexpr uint64_t kMaxHeaderPayload = 1 << 20;
 
 std::string At(const std::string& origin, uint64_t offset) {
   return origin + ":offset " + std::to_string(offset);
@@ -89,106 +87,13 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   }
   file.data_ = static_cast<const char*>(map);
   file.map_size_ = size;
-  const std::string_view data(file.data_, static_cast<size_t>(size));
-
-  const std::string_view magic = data.substr(0, kMagicSize);
-  if (magic == std::string_view(kMagicV2, kMagicSize)) {
-    file.version_ = 2;
-  } else if (magic != std::string_view(kMagic, kMagicSize)) {
-    if (magic.substr(0, sizeof(kMagicPrefix) - 1) == kMagicPrefix) {
-      std::string version(magic.substr(sizeof(kMagicPrefix) - 1));
-      while (!version.empty() &&
-             (version.back() == '\n' || version.back() == '\0')) {
-        version.pop_back();
-      }
-      return Status::FailedPrecondition(
-          At(path, sizeof(kMagicPrefix) - 1) +
-          ": snapshot version skew: file is microrec.snap/" + version +
-          ", reader understands microrec.snap/1 and /2");
-    }
-    return Status::InvalidArgument(At(path, 0) +
-                                   ": bad magic, not a microrec.snap file");
-  }
-
-  // Walk the section frames. Identical structure to File::Parse, but the
-  // payload CRCs are deliberately NOT verified here — that would fault in
+  // Payload CRCs are deliberately NOT verified here — that would fault in
   // every page of the model. v2 integrity comes from per-block CRCs at read
   // time; v1 sections are verified when ReadSection copies them out.
-  Decoder cursor(data.substr(kMagicSize), kMagicSize);
-  while (cursor.remaining() > 0) {
-    const uint64_t section_start = cursor.offset();
-    uint32_t name_len = 0;
-    MICROREC_RETURN_IF_ERROR(cursor.ReadU32(&name_len));
-    if (name_len == 0 || name_len > kMaxSectionName) {
-      return Status::InvalidArgument(
-          At(path, section_start) + ": section name length " +
-          std::to_string(name_len) + " outside [1, " +
-          std::to_string(kMaxSectionName) + "]");
-    }
-    if (cursor.remaining() < name_len) {
-      return Status::InvalidArgument(
-          At(path, cursor.offset()) + ": truncated section name (need " +
-          std::to_string(name_len) + " bytes, have " +
-          std::to_string(cursor.remaining()) + ")");
-    }
-    MappedSection section;
-    section.name.assign(data.data() + static_cast<size_t>(cursor.offset()),
-                        name_len);
-    MICROREC_RETURN_IF_ERROR(cursor.Skip(name_len, "section name"));
-    uint64_t payload_len = 0;
-    MICROREC_RETURN_IF_ERROR(cursor.ReadU64(&payload_len));
-    MICROREC_RETURN_IF_ERROR(cursor.ReadU32(&section.crc));
-    if (cursor.remaining() < payload_len) {
-      return Status::InvalidArgument(
-          At(path, cursor.offset()) + ": truncated payload of section \"" +
-          section.name + "\" (need " + std::to_string(payload_len) +
-          " bytes, have " + std::to_string(cursor.remaining()) + ")");
-    }
-    section.payload_offset = cursor.offset();
-    section.payload =
-        data.substr(static_cast<size_t>(section.payload_offset),
-                    static_cast<size_t>(payload_len));
-    for (const MappedSection& existing : file.sections_) {
-      if (existing.name == section.name) {
-        return Status::InvalidArgument(At(path, section_start) +
-                                       ": duplicate section \"" +
-                                       section.name + "\"");
-      }
-    }
-    file.sections_.push_back(std::move(section));
-    MICROREC_RETURN_IF_ERROR(
-        cursor.Skip(static_cast<size_t>(payload_len), "section payload"));
-  }
-
-  if (file.sections_.empty() || file.sections_[0].name != kHeaderSection) {
-    return Status::InvalidArgument(
-        At(path, kMagicSize) + ": first section must be \"header\", got " +
-        (file.sections_.empty() ? std::string("<none>")
-                                : '"' + file.sections_[0].name + '"'));
-  }
-  const MappedSection& header = file.sections_[0];
-  if (header.payload.size() > kMaxHeaderPayload) {
-    return Status::InvalidArgument(
-        At(path, header.payload_offset) +
-        ": header section implausibly large (" +
-        std::to_string(header.payload.size()) + " bytes)");
-  }
-  // The header is small and load-bearing (identity checks): verify its
-  // frame CRC eagerly, exactly like the resident reader would.
-  uint32_t crc = Crc32(header.name);
-  crc = Crc32(header.payload.data(), header.payload.size(), crc);
-  if (crc != header.crc) {
-    return Status::DataLoss(
-        At(path, header.payload_offset) + ": CRC mismatch in section \"" +
-        header.name + "\" (stored " + std::to_string(header.crc) +
-        ", computed " + std::to_string(crc) + ")");
-  }
-  Decoder header_cursor(header.payload, header.payload_offset);
-  Status decoded = DecodeHeader(&header_cursor, &file.header_);
-  if (!decoded.ok()) {
-    return Status::FromCode(
-        decoded.code(), path + ": bad snapshot header: " + decoded.message());
-  }
+  MICROREC_RETURN_IF_ERROR(ParseContainer(
+      std::string_view(file.data_, static_cast<size_t>(size)), path,
+      /*verify_crcs=*/false, &file.version_, &file.sections_,
+      &file.header_));
   obs::MetricsRegistry::Global()
       .GetCounter("snapshot.mapped_opens")
       ->Increment();
@@ -211,20 +116,14 @@ Status MappedFile::ReadSection(std::string_view name, std::string* out) const {
   if (version_ == 2 && section.name != kHeaderSection) {
     if (!LooksLikeStream(section.payload)) {
       return Status::DataLoss(At(origin_, section.payload_offset) +
-                              ": v2 section \"" + section.name +
+                              ": v2 section \"" + std::string(section.name) +
                               "\" is not an MCS1 stream");
     }
     return DecompressStream(section.payload, out, section.payload_offset,
-                            origin_ + ":section \"" + section.name + "\"");
+                            origin_ + ":section \"" +
+                                std::string(section.name) + "\"");
   }
-  uint32_t crc = Crc32(section.name);
-  crc = Crc32(section.payload.data(), section.payload.size(), crc);
-  if (crc != section.crc) {
-    return Status::DataLoss(
-        At(origin_, section.payload_offset) + ": CRC mismatch in section \"" +
-        section.name + "\" (stored " + std::to_string(section.crc) +
-        ", computed " + std::to_string(crc) + ")");
-  }
+  MICROREC_RETURN_IF_ERROR(VerifyFrameCrc(section, origin_));
   out->assign(section.payload.data(), section.payload.size());
   return Status::OK();
 }
@@ -233,32 +132,8 @@ Status MappedFile::VerifyIdentity(const std::string& model,
                                   const std::string& source, uint64_t seed,
                                   double iteration_scale,
                                   const std::string& config_fingerprint) const {
-  auto mismatch = [this](const char* field, const std::string& expected,
-                         const std::string& got) {
-    return Status::FailedPrecondition(
-        origin_ + ": snapshot " + field + " mismatch: expected " + expected +
-        ", file has " + got);
-  };
-  if (!model.empty() && header_.model != model) {
-    return mismatch("model", model, header_.model);
-  }
-  if (!source.empty() && header_.source != source) {
-    return mismatch("source", source, header_.source);
-  }
-  if (header_.seed != seed) {
-    return mismatch("seed", std::to_string(seed),
-                    std::to_string(header_.seed));
-  }
-  if (header_.iteration_scale != iteration_scale) {
-    return mismatch("iteration_scale", std::to_string(iteration_scale),
-                    std::to_string(header_.iteration_scale));
-  }
-  if (!config_fingerprint.empty() &&
-      header_.config_fingerprint != config_fingerprint) {
-    return mismatch("config fingerprint", config_fingerprint,
-                    header_.config_fingerprint);
-  }
-  return Status::OK();
+  return VerifyHeaderIdentity(header_, origin_, model, source, seed,
+                              iteration_scale, config_fingerprint);
 }
 
 Result<MappedTable> MappedTable::Open(const MappedFile& file,

@@ -39,13 +39,8 @@ namespace microrec::snapshot {
 /// when ReadSection copies them out.
 class MappedFile {
  public:
-  /// One directory entry; `payload` views straight into the map.
-  struct MappedSection {
-    std::string name;
-    std::string_view payload;     // stored (possibly compressed) bytes
-    uint64_t payload_offset = 0;  // absolute file offset of the payload
-    uint32_t crc = 0;             // frame CRC over name ++ payload
-  };
+  /// One directory entry; `name` and `payload` view straight into the map.
+  using MappedSection = Frame;
 
   static Result<MappedFile> Open(const std::string& path);
 

@@ -149,39 +149,47 @@ Result<File> File::Load(const std::string& path) {
   return Parse(buffer.str(), path);
 }
 
-Result<File> File::Parse(std::string bytes, const std::string& origin) {
-  File file;
-  file.origin_ = origin;
-  file.bytes_ = std::move(bytes);
-  const std::string& data = file.bytes_;
+Status VerifyFrameCrc(const Frame& frame, const std::string& origin) {
+  uint32_t crc = Crc32(frame.name);
+  crc = Crc32(frame.payload.data(), frame.payload.size(), crc);
+  if (crc == frame.crc) return Status::OK();
+  return Status::DataLoss(
+      At(origin, frame.payload_offset) + ": CRC mismatch in section \"" +
+      std::string(frame.name) + "\" (stored " + std::to_string(frame.crc) +
+      ", computed " + std::to_string(crc) + ")");
+}
 
+Status ParseContainer(std::string_view data, const std::string& origin,
+                      bool verify_crcs, uint32_t* version,
+                      std::vector<Frame>* frames, Header* header) {
   if (data.size() < kMagicSize) {
     return Status::InvalidArgument(
         At(origin, 0) + ": truncated magic (" + std::to_string(data.size()) +
         " of " + std::to_string(kMagicSize) + " bytes)");
   }
-  std::string_view magic(data.data(), kMagicSize);
+  std::string_view magic = data.substr(0, kMagicSize);
+  *version = 1;
   if (magic == std::string_view(kMagicV2, kMagicSize)) {
-    file.version_ = 2;
+    *version = 2;
   } else if (magic != std::string_view(kMagic, kMagicSize)) {
     if (magic.substr(0, sizeof(kMagicPrefix) - 1) == kMagicPrefix) {
       // Same family, different version: report skew, not corruption, so the
       // operator knows to retrain/re-save rather than chase a bad disk.
-      std::string version(magic.substr(sizeof(kMagicPrefix) - 1));
-      while (!version.empty() &&
-             (version.back() == '\n' || version.back() == '\0')) {
-        version.pop_back();
+      std::string skewed(magic.substr(sizeof(kMagicPrefix) - 1));
+      while (!skewed.empty() &&
+             (skewed.back() == '\n' || skewed.back() == '\0')) {
+        skewed.pop_back();
       }
       return Status::FailedPrecondition(
           At(origin, sizeof(kMagicPrefix) - 1) +
-          ": snapshot version skew: file is microrec.snap/" + version +
+          ": snapshot version skew: file is microrec.snap/" + skewed +
           ", reader understands microrec.snap/1 and /2");
     }
     return Status::InvalidArgument(At(origin, 0) +
                                    ": bad magic, not a microrec.snap file");
   }
 
-  Decoder cursor(std::string_view(data).substr(kMagicSize), kMagicSize);
+  Decoder cursor(data.substr(kMagicSize), kMagicSize);
   while (cursor.remaining() > 0) {
     const uint64_t section_start = cursor.offset();
     uint32_t name_len = 0;
@@ -198,65 +206,73 @@ Result<File> File::Parse(std::string bytes, const std::string& origin) {
           std::to_string(name_len) + " bytes, have " +
           std::to_string(cursor.remaining()) + ")");
     }
-    const size_t name_pos = static_cast<size_t>(cursor.offset());
-    std::string_view name(data.data() + name_pos, name_len);
+    Frame frame;
+    frame.name = data.substr(static_cast<size_t>(cursor.offset()), name_len);
     MICROREC_RETURN_IF_ERROR(cursor.Skip(name_len, "section name"));
     uint64_t payload_len = 0;
     MICROREC_RETURN_IF_ERROR(cursor.ReadU64(&payload_len));
-    uint32_t stored_crc = 0;
-    MICROREC_RETURN_IF_ERROR(cursor.ReadU32(&stored_crc));
+    MICROREC_RETURN_IF_ERROR(cursor.ReadU32(&frame.crc));
     if (cursor.remaining() < payload_len) {
       return Status::InvalidArgument(
           At(origin, cursor.offset()) + ": truncated payload of section \"" +
-          std::string(name) + "\" (need " + std::to_string(payload_len) +
-          " bytes, have " + std::to_string(cursor.remaining()) + ")");
+          std::string(frame.name) + "\" (need " +
+          std::to_string(payload_len) + " bytes, have " +
+          std::to_string(cursor.remaining()) + ")");
     }
-    const uint64_t payload_offset = cursor.offset();
-    std::string_view payload(
-        data.data() + static_cast<size_t>(payload_offset),
-        static_cast<size_t>(payload_len));
-    uint32_t crc = Crc32(name);
-    crc = Crc32(payload.data(), payload.size(), crc);
-    if (crc != stored_crc) {
-      return Status::DataLoss(
-          At(origin, payload_offset) + ": CRC mismatch in section \"" +
-          std::string(name) + "\" (stored " + std::to_string(stored_crc) +
-          ", computed " + std::to_string(crc) + ")");
-    }
-    Section section;
-    section.name = std::string(name);
-    section.payload = std::string(payload);
-    section.payload_offset = payload_offset;
-    for (const Section& existing : file.sections_) {
-      if (existing.name == section.name) {
+    frame.payload_offset = cursor.offset();
+    frame.payload = data.substr(static_cast<size_t>(frame.payload_offset),
+                                static_cast<size_t>(payload_len));
+    if (verify_crcs) MICROREC_RETURN_IF_ERROR(VerifyFrameCrc(frame, origin));
+    for (const Frame& existing : *frames) {
+      if (existing.name == frame.name) {
         return Status::InvalidArgument(
             At(origin, section_start) + ": duplicate section \"" +
-            section.name + "\"");
+            std::string(frame.name) + "\"");
       }
     }
-    file.sections_.push_back(std::move(section));
+    frames->push_back(frame);
     MICROREC_RETURN_IF_ERROR(
         cursor.Skip(static_cast<size_t>(payload_len), "section payload"));
   }
 
-  if (file.sections_.empty() || file.sections_[0].name != kHeaderSection) {
+  if (frames->empty() || (*frames)[0].name != kHeaderSection) {
     return Status::InvalidArgument(
         At(origin, kMagicSize) + ": first section must be \"header\", got " +
-        (file.sections_.empty() ? std::string("<none>")
-                                : '"' + file.sections_[0].name + '"'));
+        (frames->empty() ? std::string("<none>")
+                         : '"' + std::string((*frames)[0].name) + '"'));
   }
-  if (file.sections_[0].payload.size() > kMaxHeaderPayload) {
+  const Frame& head = (*frames)[0];
+  if (head.payload.size() > kMaxHeaderPayload) {
     return Status::InvalidArgument(
-        At(origin, file.sections_[0].payload_offset) +
+        At(origin, head.payload_offset) +
         ": header section implausibly large (" +
-        std::to_string(file.sections_[0].payload.size()) + " bytes)");
+        std::to_string(head.payload.size()) + " bytes)");
   }
-  Decoder header_cursor(file.sections_[0].payload,
-                        file.sections_[0].payload_offset);
-  Status decoded = DecodeHeader(&header_cursor, &file.header_);
+  // The header is small and load-bearing (identity checks): its CRC is
+  // verified even when payload CRCs are deferred.
+  if (!verify_crcs) MICROREC_RETURN_IF_ERROR(VerifyFrameCrc(head, origin));
+  Decoder header_cursor(head.payload, head.payload_offset);
+  Status decoded = DecodeHeader(&header_cursor, header);
   if (!decoded.ok()) {
     return Status::FromCode(
         decoded.code(), origin + ": bad snapshot header: " + decoded.message());
+  }
+  return Status::OK();
+}
+
+Result<File> File::Parse(std::string bytes, const std::string& origin) {
+  File file;
+  file.origin_ = origin;
+  file.bytes_ = std::move(bytes);
+  std::vector<Frame> frames;
+  MICROREC_RETURN_IF_ERROR(ParseContainer(file.bytes_, origin,
+                                          /*verify_crcs=*/true,
+                                          &file.version_, &frames,
+                                          &file.header_));
+  for (const Frame& frame : frames) {
+    file.sections_.push_back(Section{std::string(frame.name),
+                                     std::string(frame.payload),
+                                     frame.payload_offset});
   }
 
   // A v2 container stores every non-header payload as an MCS1 stream;
@@ -303,30 +319,39 @@ Status File::VerifyIdentity(const std::string& model,
                             const std::string& source, uint64_t seed,
                             double iteration_scale,
                             const std::string& config_fingerprint) const {
-  auto mismatch = [this](const char* field, const std::string& expected,
-                         const std::string& got) {
+  return VerifyHeaderIdentity(header_, origin_, model, source, seed,
+                              iteration_scale, config_fingerprint);
+}
+
+Status VerifyHeaderIdentity(const Header& header, const std::string& origin,
+                            const std::string& model,
+                            const std::string& source, uint64_t seed,
+                            double iteration_scale,
+                            const std::string& config_fingerprint) {
+  auto mismatch = [&origin](const char* field, const std::string& expected,
+                            const std::string& got) {
     return Status::FailedPrecondition(
-        origin_ + ": snapshot " + field + " mismatch: expected " + expected +
+        origin + ": snapshot " + field + " mismatch: expected " + expected +
         ", file has " + got);
   };
-  if (!model.empty() && header_.model != model) {
-    return mismatch("model", model, header_.model);
+  if (!model.empty() && header.model != model) {
+    return mismatch("model", model, header.model);
   }
-  if (!source.empty() && header_.source != source) {
-    return mismatch("source", source, header_.source);
+  if (!source.empty() && header.source != source) {
+    return mismatch("source", source, header.source);
   }
-  if (header_.seed != seed) {
+  if (header.seed != seed) {
     return mismatch("seed", std::to_string(seed),
-                    std::to_string(header_.seed));
+                    std::to_string(header.seed));
   }
-  if (header_.iteration_scale != iteration_scale) {
+  if (header.iteration_scale != iteration_scale) {
     return mismatch("iteration_scale", std::to_string(iteration_scale),
-                    std::to_string(header_.iteration_scale));
+                    std::to_string(header.iteration_scale));
   }
   if (!config_fingerprint.empty() &&
-      header_.config_fingerprint != config_fingerprint) {
+      header.config_fingerprint != config_fingerprint) {
     return mismatch("config fingerprint", config_fingerprint,
-                    header_.config_fingerprint);
+                    header.config_fingerprint);
   }
   return Status::OK();
 }

@@ -83,6 +83,34 @@ struct Section {
   uint64_t payload_offset = 0;  // absolute file offset of the payload
 };
 
+/// One section frame of a serialized container, viewing its bytes.
+struct Frame {
+  std::string_view name;
+  std::string_view payload;     // stored bytes (an MCS1 stream in v2)
+  uint64_t payload_offset = 0;  // absolute file offset of the payload
+  uint32_t crc = 0;             // stored CRC over name ++ payload
+};
+
+/// The container checks File::Parse and MappedFile::Open share: magic and
+/// version, section framing (name bounds, truncation, duplicates), a first
+/// and bounded "header" section, and its decode into `*header`. Every frame
+/// CRC is verified when `verify_crcs`, else only the header's (the mapped
+/// reader verifies payloads as it reads them). Errors name `origin` and the
+/// byte offset.
+Status ParseContainer(std::string_view data, const std::string& origin,
+                      bool verify_crcs, uint32_t* version,
+                      std::vector<Frame>* frames, Header* header);
+
+/// DataLoss naming the section when `frame`'s stored CRC is wrong.
+Status VerifyFrameCrc(const Frame& frame, const std::string& origin);
+
+/// Identity verification of File::VerifyIdentity, for any decoded header.
+Status VerifyHeaderIdentity(const Header& header, const std::string& origin,
+                            const std::string& model,
+                            const std::string& source, uint64_t seed,
+                            double iteration_scale,
+                            const std::string& config_fingerprint);
+
 /// Assembles and atomically writes one snapshot file.
 class Writer {
  public:

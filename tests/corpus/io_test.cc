@@ -132,6 +132,14 @@ struct MalformedCase {
   const char* expect_in_message;  // substring, typically "file:line"
 };
 
+// Without this, gtest prints the parameter as a raw byte dump of its four
+// pointers. Those bytes change with every ASLR layout, and the dump is part
+// of each case's registered ctest name, so the names would differ from build
+// to build.
+void PrintTo(const MalformedCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class MalformedTsvTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedTsvTest, RejectedWithFileAndLine) {

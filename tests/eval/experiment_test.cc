@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "eval/sweep.h"
 #include "resilience/fault.h"
 #include "synth/generator.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::eval {
 namespace {
@@ -132,6 +135,48 @@ TEST_F(RunnerFixture, TrainSetsCachedAndConsistent) {
   const corpus::LabeledTrainSet& second =
       runner_->TrainSet(Source::kE, runner_->GroupUsers(UserType::kAllUsers)[0]);
   EXPECT_EQ(&first, &second);
+}
+
+TEST_F(RunnerFixture, TrainSetIsSafeToFillFromManyThreads) {
+  // Serving recommenders sharing one runner context call TrainSet() from
+  // their own threads; the lazily filled cache must hand every thread the
+  // same train set a sequential caller gets, at one stable address per key.
+  RunOptions options;
+  options.topic_iteration_scale = 0.01;
+  ExperimentRunner sequential(pre_, cohort_, options);
+  ExperimentRunner shared(pre_, cohort_, options);
+  ASSERT_OK(sequential.Init());
+  ASSERT_OK(shared.Init());
+  const std::vector<corpus::UserId>& users =
+      sequential.GroupUsers(UserType::kAllUsers);
+  const Source sources[] = {Source::kR, Source::kT, Source::kE};
+  constexpr int kThreads = 4;
+
+  // Each thread walks every (source, user) key starting at its own offset,
+  // so the threads overlap on every key in different orders.
+  std::vector<std::vector<const corpus::LabeledTrainSet*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t n = users.size() * 3;
+      seen[t].assign(n, nullptr);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t k = (i + static_cast<size_t>(t) * n / kThreads) % n;
+        seen[t][k] = &shared.TrainSet(sources[k % 3], users[k / 3]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t k = 0; k < users.size() * 3; ++k) {
+    const corpus::LabeledTrainSet& expected =
+        sequential.TrainSet(sources[k % 3], users[k / 3]);
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t][k], seen[0][k]) << "key " << k;
+      EXPECT_EQ(seen[t][k]->docs, expected.docs) << "key " << k;
+      EXPECT_EQ(seen[t][k]->positive, expected.positive) << "key " << k;
+    }
+  }
 }
 
 TEST_F(RunnerFixture, DeterministicAcrossRuns) {

@@ -7,14 +7,21 @@
 // rebuilds a user in place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rec/engine.h"
 #include "rec/ranker.h"
+#include "snapshot/codec.h"
+#include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -33,8 +40,8 @@ class EngineMmapFixture : public ::testing::Test {
     ego_ = world_.AddUser("ego");
     cats_ = world_.AddUser("cats_feed");
     stocks_ = world_.AddUser("stocks_feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(ego_, stocks_));
 
     const char* cat_texts[] = {
         "fluffy cat naps on warm windowsill",
@@ -56,7 +63,7 @@ class EngineMmapFixture : public ::testing::Test {
       candidates_.push_back(*world_.AddTweet(stocks_, t += 10, text));
     }
     rival_ = world_.AddUser("rival");
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(rival_, stocks_));
     for (int i = 0; i < 3; ++i) {
       (void)*world_.AddTweet(ego_, t += 10, "", candidates_[i]);
       (void)*world_.AddTweet(rival_, t += 10, "", candidates_[4 + i]);
@@ -87,17 +94,7 @@ class EngineMmapFixture : public ::testing::Test {
     ctx_.llda_min_hashtag_count = 1;
     ctx_.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_engine_mmap_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
+    dir_ = scratch_.path();
   }
 
   static ModelConfig SmallConfig(ModelKind kind) {
@@ -154,12 +151,12 @@ class EngineMmapFixture : public ::testing::Test {
   std::string TrainAndSave(const ModelConfig& config, const EngineContext& ctx,
                            const std::string& tag) {
     auto engine = MakeEngine(config);
-    EXPECT_TRUE(engine->Prepare(ctx).ok());
+    EXPECT_OK(engine->Prepare(ctx));
     for (UserId u : users_) {
-      EXPECT_TRUE(engine->BuildUser(u, ctx.train_set(u), ctx).ok());
+      EXPECT_OK(engine->BuildUser(u, ctx.train_set(u), ctx));
     }
     const std::string path = Path(tag);
-    EXPECT_TRUE(engine->SaveSnapshot(path, ctx).ok());
+    EXPECT_OK(engine->SaveSnapshot(path, ctx));
     return path;
   }
 
@@ -225,8 +222,8 @@ class EngineMmapFixture : public ::testing::Test {
     ASSERT_TRUE(open.ok()) << open.ToString();
     // BuildUser must be a no-op for persisted users in both modes.
     for (UserId u : users_) {
-      ASSERT_TRUE(resident->BuildUser(u, ctx_.train_set(u), ctx_).ok());
-      ASSERT_TRUE(mapped->BuildUser(u, mmap_ctx.train_set(u), mmap_ctx).ok());
+      ASSERT_OK(resident->BuildUser(u, ctx_.train_set(u), ctx_));
+      ASSERT_OK(mapped->BuildUser(u, mmap_ctx.train_set(u), mmap_ctx));
     }
 
     for (size_t threads : {size_t{1}, size_t{8}}) {
@@ -244,6 +241,7 @@ class EngineMmapFixture : public ::testing::Test {
   std::vector<TweetId> candidates_;
   EngineContext ctx_;
   UserId ego_ = 0, cats_ = 0, stocks_ = 0, rival_ = 0;
+  testutil::ScratchDir scratch_{"microrec_engine_mmap"};
   std::string dir_;
 };
 
@@ -269,13 +267,13 @@ TEST_F(EngineMmapFixture, TinyMappedUserCacheStaysBitIdentical) {
   const std::string path = TrainAndSave(config, ctx_, "tiny_cache");
 
   auto resident = MakeEngine(config);
-  ASSERT_TRUE(resident->LoadSnapshot(path, ctx_).ok());
+  ASSERT_OK(resident->LoadSnapshot(path, ctx_));
 
   EngineContext mmap_ctx = ctx_;
   mmap_ctx.serve_mode = ServeMode::kMmap;
   mmap_ctx.mapped_user_cache = 1;
   auto mapped = MakeEngine(config);
-  ASSERT_TRUE(mapped->OpenMapped(path, mmap_ctx).ok());
+  ASSERT_OK(mapped->OpenMapped(path, mmap_ctx));
 
   for (int pass = 0; pass < 3; ++pass) {
     auto expected = RankAll(resident.get(), ctx_, 1);
@@ -291,7 +289,7 @@ TEST_F(EngineMmapFixture, V1SnapshotFallsBackToResidentLoad) {
   const std::string path = TrainAndSave(config, raw_ctx, "v1_fallback");
 
   auto resident = MakeEngine(config);
-  ASSERT_TRUE(resident->LoadSnapshot(path, raw_ctx).ok());
+  ASSERT_OK(resident->LoadSnapshot(path, raw_ctx));
 
   EngineContext mmap_ctx = raw_ctx;
   mmap_ctx.serve_mode = ServeMode::kMmap;
@@ -301,7 +299,7 @@ TEST_F(EngineMmapFixture, V1SnapshotFallsBackToResidentLoad) {
   ExpectSameRankings(RankAll(resident.get(), raw_ctx, 1),
                      RankAll(mapped.get(), mmap_ctx, 1), "v1_fallback");
   // A v1 warm start is resident state: saving from it stays legal.
-  EXPECT_TRUE(mapped->SaveSnapshot(Path("v1_resave"), mmap_ctx).ok());
+  EXPECT_OK(mapped->SaveSnapshot(Path("v1_resave"), mmap_ctx));
 }
 
 TEST_F(EngineMmapFixture, MappedEnginesRefuseSaveSnapshot) {
@@ -314,7 +312,7 @@ TEST_F(EngineMmapFixture, MappedEnginesRefuseSaveSnapshot) {
     EngineContext mmap_ctx = ctx_;
     mmap_ctx.serve_mode = ServeMode::kMmap;
     auto mapped = MakeEngine(config);
-    ASSERT_TRUE(mapped->OpenMapped(path, mmap_ctx).ok());
+    ASSERT_OK(mapped->OpenMapped(path, mmap_ctx));
     Status save = mapped->SaveSnapshot(Path("readonly_out"), mmap_ctx);
     EXPECT_EQ(save.code(), StatusCode::kFailedPrecondition);
     EXPECT_NE(save.message().find("read-only"), std::string::npos)
@@ -327,18 +325,18 @@ TEST_F(EngineMmapFixture, InvalidateAndRebuildWorksInMappedMode) {
   const std::string path = TrainAndSave(config, ctx_, "invalidate");
 
   auto resident = MakeEngine(config);
-  ASSERT_TRUE(resident->LoadSnapshot(path, ctx_).ok());
+  ASSERT_OK(resident->LoadSnapshot(path, ctx_));
   EngineContext mmap_ctx = ctx_;
   mmap_ctx.serve_mode = ServeMode::kMmap;
   auto mapped = MakeEngine(config);
-  ASSERT_TRUE(mapped->OpenMapped(path, mmap_ctx).ok());
+  ASSERT_OK(mapped->OpenMapped(path, mmap_ctx));
 
   // Invalidate in both modes, rebuild from the train set, and compare: the
   // rebuilt profile must score identically to the resident rebuild.
   resident->InvalidateUser(ego_);
   mapped->InvalidateUser(ego_);
-  ASSERT_TRUE(resident->BuildUser(ego_, train_, ctx_).ok());
-  ASSERT_TRUE(mapped->BuildUser(ego_, train_, mmap_ctx).ok());
+  ASSERT_OK(resident->BuildUser(ego_, train_, ctx_));
+  ASSERT_OK(mapped->BuildUser(ego_, train_, mmap_ctx));
   ExpectSameRankings(RankAll(resident.get(), ctx_, 1),
                      RankAll(mapped.get(), mmap_ctx, 1), "after_rebuild");
 }
@@ -348,6 +346,107 @@ TEST_F(EngineMmapFixture, OpenMappedOnMissingFileIsAnError) {
   mmap_ctx.serve_mode = ServeMode::kMmap;
   auto mapped = MakeEngine(SmallConfig(ModelKind::kTN));
   EXPECT_FALSE(mapped->OpenMapped(Path("never_written"), mmap_ctx).ok());
+}
+
+// ---- Corrupt mapped rows: a Status where one can be returned, a counted
+// zero score where it cannot. ----
+
+obs::Counter* MappedRowErrors() {
+  return obs::MetricsRegistry::Global().GetCounter(
+      "snapshot.mapped_row_errors");
+}
+
+/// Rewrites the v2 snapshot at `path` with `section` compressed in 32-byte
+/// blocks and flips the section's last stored byte: the table index, in
+/// the first blocks, stays readable, while the block holding the tail of
+/// the highest-id row fails its CRC. Returns the corrupt file's path.
+std::string CorruptLastRow(const std::string& path,
+                           const std::string& section) {
+  Result<snapshot::File> file = snapshot::File::Load(path);
+  EXPECT_OK(file);
+  if (!file.ok()) return path;
+  snapshot::Writer writer(file->header());
+  for (const snapshot::Section& s : file->sections()) {
+    if (s.name == "header") continue;
+    writer.AddSection(
+        s.name, snapshot::CompressStream(
+                    s.payload, s.name == section
+                                   ? 32
+                                   : snapshot::kDefaultBlockSize));
+  }
+  // The v1 framing around MCS1 payloads is exactly a v2 container.
+  std::string bytes = writer.Serialize();
+  bytes.replace(0, snapshot::kMagicSize, snapshot::kMagicV2,
+                snapshot::kMagicSize);
+  uint32_t version = 0;
+  std::vector<snapshot::Frame> frames;
+  snapshot::Header header;
+  EXPECT_OK(snapshot::ParseContainer(bytes, path, /*verify_crcs=*/true,
+                                     &version, &frames, &header));
+  for (const snapshot::Frame& frame : frames) {
+    if (frame.name != section) continue;
+    const size_t last =
+        static_cast<size_t>(frame.payload_offset + frame.payload.size() - 1);
+    bytes[last] = static_cast<char>(bytes[last] ^ 0x01);
+  }
+  const std::string corrupt = path + ".corrupt-" + section;
+  std::ofstream out(corrupt, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return corrupt;
+}
+
+TEST_F(EngineMmapFixture, CorruptMappedUserRowIsDataLossAndCounted) {
+  EngineContext mmap_ctx = ctx_;
+  mmap_ctx.serve_mode = ServeMode::kMmap;
+  const UserId victim = std::max(ego_, rival_);
+  for (ModelKind kind : {ModelKind::kTN, ModelKind::kTNG, ModelKind::kLDA}) {
+    const std::string tag(ModelKindName(kind));
+    SCOPED_TRACE(tag);
+    const ModelConfig config = SmallConfig(kind);
+    const std::string path =
+        CorruptLastRow(TrainAndSave(config, ctx_, tag), "users");
+    auto engine = MakeEngine(config);
+    ASSERT_OK(engine->OpenMapped(path, mmap_ctx));
+
+    const uint64_t before = MappedRowErrors()->value();
+    Status build = engine->BuildUser(victim, ctx_.train_set(victim), mmap_ctx);
+    EXPECT_EQ(build.code(), StatusCode::kDataLoss) << build.ToString();
+    EXPECT_NE(build.message().find(path), std::string::npos)
+        << build.ToString();
+    EXPECT_EQ(MappedRowErrors()->value(), before + 1);
+    EXPECT_EQ(engine->Score(victim, candidates_.back(), mmap_ctx), 0.0);
+    EXPECT_EQ(MappedRowErrors()->value(), before + 2);
+  }
+}
+
+TEST_F(EngineMmapFixture, CorruptMappedInferenceScoresZeroAndIsCounted) {
+  EngineContext mmap_ctx = ctx_;
+  mmap_ctx.serve_mode = ServeMode::kMmap;
+  const ModelConfig config = SmallConfig(ModelKind::kLDA);
+  const std::string clean = TrainAndSave(config, ctx_, "LDA");
+  // The highest tweet id in the persisted inference cache is the row whose
+  // tail sits in the corrupted block.
+  TweetId victim = 0;
+  {
+    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(clean);
+    ASSERT_OK(file);
+    Result<snapshot::MappedTable> table =
+        snapshot::MappedTable::Open(*file, "infer_cache");
+    ASSERT_OK(table);
+    ASSERT_FALSE(table->ids().empty());
+    victim = static_cast<TweetId>(table->ids().back());
+  }
+  auto reference = MakeEngine(config);
+  ASSERT_OK(reference->OpenMapped(clean, mmap_ctx));
+  ASSERT_NE(reference->Score(ego_, victim, mmap_ctx), 0.0);
+
+  auto engine = MakeEngine(config);
+  ASSERT_OK(engine->OpenMapped(CorruptLastRow(clean, "infer_cache"),
+                               mmap_ctx));
+  ASSERT_OK(engine->BuildUser(ego_, train_, mmap_ctx));
+  const uint64_t before = MappedRowErrors()->value();
+  EXPECT_EQ(engine->Score(ego_, victim, mmap_ctx), 0.0);
+  EXPECT_EQ(MappedRowErrors()->value(), before + 1);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 
 #include "rec/engine.h"
 #include "snapshot/snapshot.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::rec {
 namespace {
@@ -31,8 +33,8 @@ class EngineSnapshotFixture : public ::testing::Test {
     ego_ = world_.AddUser("ego");
     cats_ = world_.AddUser("cats_feed");
     stocks_ = world_.AddUser("stocks_feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(ego_, stocks_));
 
     const char* cat_texts[] = {
         "fluffy cat naps on warm windowsill",
@@ -54,7 +56,7 @@ class EngineSnapshotFixture : public ::testing::Test {
       stock_posts_.push_back(*world_.AddTweet(stocks_, t += 10, text));
     }
     rival_ = world_.AddUser("rival");
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(rival_, stocks_));
     for (int i = 0; i < 3; ++i) {
       (void)*world_.AddTweet(ego_, t += 10, "", cat_posts_[i]);
       (void)*world_.AddTweet(rival_, t += 10, "", stock_posts_[i]);
@@ -84,17 +86,7 @@ class EngineSnapshotFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_engine_snap_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
+    dir_ = scratch_.path();
   }
 
   /// A small but representative configuration per model family.
@@ -154,19 +146,19 @@ class EngineSnapshotFixture : public ::testing::Test {
                                    const std::string& tag) {
     SCOPED_TRACE(tag);
     auto trained = MakeEngine(config);
-    ASSERT_TRUE(trained->Prepare(ctx).ok());
-    ASSERT_TRUE(trained->BuildUser(ego_, train_, ctx).ok());
+    ASSERT_OK(trained->Prepare(ctx));
+    ASSERT_OK(trained->BuildUser(ego_, train_, ctx));
     const double cat = trained->Score(ego_, test_cat_, ctx);
     const double stock = trained->Score(ego_, test_stock_, ctx);
 
     const std::string path = Path(tag);
-    ASSERT_TRUE(trained->SaveSnapshot(path, ctx).ok());
+    ASSERT_OK(trained->SaveSnapshot(path, ctx));
 
     auto restored = MakeEngine(config);
     Status load = restored->LoadSnapshot(path, ctx);
     ASSERT_TRUE(load.ok()) << load.ToString();
     // BuildUser must be a no-op for a persisted user.
-    ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx).ok());
+    ASSERT_OK(restored->BuildUser(ego_, train_, ctx));
     EXPECT_EQ(restored->Score(ego_, test_cat_, ctx), cat);
     EXPECT_EQ(restored->Score(ego_, test_stock_, ctx), stock);
   }
@@ -179,6 +171,7 @@ class EngineSnapshotFixture : public ::testing::Test {
   UserId ego_ = 0, cats_ = 0, stocks_ = 0, rival_ = 0;
   std::vector<TweetId> cat_posts_, stock_posts_;
   TweetId test_cat_ = 0, test_stock_ = 0;
+  testutil::ScratchDir scratch_{"microrec_engine_snap"};
   std::string dir_;
 };
 
@@ -208,11 +201,11 @@ TEST_F(EngineSnapshotFixture, CompressedSnapshotLoadsIntoRawSaveContext) {
   save_ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
   ModelConfig config = SmallConfig(ModelKind::kLDA);
   auto trained = MakeEngine(config);
-  ASSERT_TRUE(trained->Prepare(save_ctx).ok());
-  ASSERT_TRUE(trained->BuildUser(ego_, train_, save_ctx).ok());
+  ASSERT_OK(trained->Prepare(save_ctx));
+  ASSERT_OK(trained->BuildUser(ego_, train_, save_ctx));
   const double cat = trained->Score(ego_, test_cat_, save_ctx);
   const std::string path = Path("cross_codec");
-  ASSERT_TRUE(trained->SaveSnapshot(path, save_ctx).ok());
+  ASSERT_OK(trained->SaveSnapshot(path, save_ctx));
 
   auto restored = MakeEngine(config);
   Status load = restored->LoadSnapshot(path, ctx_);  // raw-save context
@@ -263,17 +256,17 @@ TEST_F(EngineSnapshotFixture, ParallelTrainedSnapshotLoadsIntoSequentialCtx) {
   par_ctx.train_threads = 4;
   ModelConfig config = SmallConfig(ModelKind::kLDA);
   auto trained = MakeEngine(config);
-  ASSERT_TRUE(trained->Prepare(par_ctx).ok());
-  ASSERT_TRUE(trained->BuildUser(ego_, train_, par_ctx).ok());
+  ASSERT_OK(trained->Prepare(par_ctx));
+  ASSERT_OK(trained->BuildUser(ego_, train_, par_ctx));
   const double cat = trained->Score(ego_, test_cat_, par_ctx);
   const double stock = trained->Score(ego_, test_stock_, par_ctx);
   const std::string path = Path("cross_threads");
-  ASSERT_TRUE(trained->SaveSnapshot(path, par_ctx).ok());
+  ASSERT_OK(trained->SaveSnapshot(path, par_ctx));
 
   auto restored = MakeEngine(config);
   Status load = restored->LoadSnapshot(path, ctx_);  // train_threads == 1
   ASSERT_TRUE(load.ok()) << load.ToString();
-  ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx_).ok());
+  ASSERT_OK(restored->BuildUser(ego_, train_, ctx_));
   EXPECT_EQ(restored->Score(ego_, test_cat_, ctx_), cat);
   EXPECT_EQ(restored->Score(ego_, test_stock_, ctx_), stock);
 }
@@ -281,17 +274,17 @@ TEST_F(EngineSnapshotFixture, ParallelTrainedSnapshotLoadsIntoSequentialCtx) {
 TEST_F(EngineSnapshotFixture, PrepareWarmStartsFromSnapshot) {
   ModelConfig config = SmallConfig(ModelKind::kBTM);
   auto trained = MakeEngine(config);
-  ASSERT_TRUE(trained->Prepare(ctx_).ok());
-  ASSERT_TRUE(trained->BuildUser(ego_, train_, ctx_).ok());
+  ASSERT_OK(trained->Prepare(ctx_));
+  ASSERT_OK(trained->BuildUser(ego_, train_, ctx_));
   const double cat = trained->Score(ego_, test_cat_, ctx_);
   const std::string path = Path("warm");
-  ASSERT_TRUE(trained->SaveSnapshot(path, ctx_).ok());
+  ASSERT_OK(trained->SaveSnapshot(path, ctx_));
 
   EngineContext warm = ctx_;
   warm.warm_start_snapshot = path;
   auto restored = MakeEngine(config);
-  ASSERT_TRUE(restored->Prepare(warm).ok());
-  ASSERT_TRUE(restored->BuildUser(ego_, train_, warm).ok());
+  ASSERT_OK(restored->Prepare(warm));
+  ASSERT_OK(restored->BuildUser(ego_, train_, warm));
   EXPECT_EQ(restored->Score(ego_, test_cat_, warm), cat);
 }
 
@@ -299,10 +292,83 @@ TEST_F(EngineSnapshotFixture, PrepareFallsBackToColdTrainOnMissingSnapshot) {
   EngineContext warm = ctx_;
   warm.warm_start_snapshot = Path("never_written");
   auto engine = MakeEngine(SmallConfig(ModelKind::kTN));
-  ASSERT_TRUE(engine->Prepare(warm).ok());
-  ASSERT_TRUE(engine->BuildUser(ego_, train_, warm).ok());
+  ASSERT_OK(engine->Prepare(warm));
+  ASSERT_OK(engine->BuildUser(ego_, train_, warm));
   EXPECT_GT(engine->Score(ego_, test_cat_, warm),
             engine->Score(ego_, test_stock_, warm));
+}
+
+// ---- Pinned snapshot bytes. ----
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(EngineSnapshotFixture, SavedSnapshotBytesArePinned) {
+  // Every family's saved bytes, under both codecs, are fixed: any change to
+  // how user models, inference caches or tables are written shows up here
+  // as a hash mismatch, not as a silent format drift. The engines train,
+  // build both users and score both test tweets (which fills the topic
+  // engines' inference caches) before saving.
+  struct Pin {
+    ModelKind kind;
+    uint64_t raw;
+    uint64_t compressed;
+  };
+  const Pin kPins[] = {
+      {ModelKind::kTN, 0x6d27a006af9dcf82ULL,
+       0x7f31265e3df414e4ULL},
+      {ModelKind::kCN, 0xd4244afcf102a85cULL,
+       0x9830515d7357e907ULL},
+      {ModelKind::kTNG, 0xf3ab92b36d6a9a81ULL,
+       0xc17f12bb5f056bf5ULL},
+      {ModelKind::kCNG, 0x6b4c454872b918baULL,
+       0xcacc2b6fb1619ccbULL},
+      {ModelKind::kLDA, 0xb97a29ad6f16b254ULL,
+       0x4cdf08e67642b0a2ULL},
+      {ModelKind::kLLDA, 0x288a03030edd26eeULL,
+       0x396aa816da8f1145ULL},
+      {ModelKind::kHDP, 0x75edbcb81f3b7362ULL,
+       0x985a1890fa3477cbULL},
+      {ModelKind::kHLDA, 0x8fce7b9e490e48bfULL,
+       0x9c6d396430f03aaaULL},
+      {ModelKind::kBTM, 0xf919153ec4eaa62dULL,
+       0x05f44795207eee9fULL},
+  };
+  for (const Pin& pin : kPins) {
+    for (snapshot::SnapshotCodec codec :
+         {snapshot::SnapshotCodec::kRaw, snapshot::SnapshotCodec::kCompressed}) {
+      const std::string tag = std::string(ModelKindName(pin.kind)) + "-" +
+                              snapshot::SnapshotCodecName(codec);
+      SCOPED_TRACE(tag);
+      EngineContext ctx = ctx_;
+      ctx.snapshot_codec = codec;
+      auto engine = MakeEngine(SmallConfig(pin.kind));
+      ASSERT_OK(engine->Prepare(ctx));
+      ASSERT_OK(engine->BuildUser(ego_, train_, ctx));
+      ASSERT_OK(engine->BuildUser(rival_, rival_train_, ctx));
+      (void)engine->Score(ego_, test_cat_, ctx);
+      (void)engine->Score(rival_, test_stock_, ctx);
+      const std::string path = Path("pin-" + tag);
+      ASSERT_OK(engine->SaveSnapshot(path, ctx));
+      const uint64_t expected =
+          codec == snapshot::SnapshotCodec::kRaw ? pin.raw : pin.compressed;
+      const uint64_t actual = Fnv1a(ReadFileBytes(path));
+      EXPECT_EQ(actual, expected)
+          << tag << " bytes hash to 0x" << std::hex << actual;
+    }
+  }
 }
 
 // ---- Engine-level corruption matrix (TN keeps it fast; the container
@@ -314,10 +380,10 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
     EngineSnapshotFixture::SetUp();
     config_ = SmallConfig(ModelKind::kTN);
     auto engine = MakeEngine(config_);
-    ASSERT_TRUE(engine->Prepare(ctx_).ok());
-    ASSERT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
+    ASSERT_OK(engine->Prepare(ctx_));
+    ASSERT_OK(engine->BuildUser(ego_, train_, ctx_));
     good_path_ = Path("good");
-    ASSERT_TRUE(engine->SaveSnapshot(good_path_, ctx_).ok());
+    ASSERT_OK(engine->SaveSnapshot(good_path_, ctx_));
     std::ifstream in(good_path_, std::ios::binary);
     good_bytes_.assign(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
@@ -372,7 +438,7 @@ TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
   // Re-author the container with a perturbed vocabulary fingerprint but
   // valid CRCs: only the identity check can catch this one.
   Result<snapshot::File> file = snapshot::File::Load(good_path_);
-  ASSERT_TRUE(file.ok());
+  ASSERT_OK(file);
   snapshot::Header header = file->header();
   header.vocab_fingerprint ^= 1;
   snapshot::Writer writer(header);
@@ -382,7 +448,7 @@ TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
     }
   }
   const std::string path = Path("vocab_mismatch");
-  ASSERT_TRUE(writer.Commit(path).ok());
+  ASSERT_OK(writer.Commit(path));
 
   auto engine = MakeEngine(config_);
   Status st = engine->LoadSnapshot(path, ctx_);

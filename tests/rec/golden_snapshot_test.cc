@@ -19,6 +19,8 @@
 
 #include "rec/engine.h"
 #include "snapshot/snapshot.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 #ifndef MICROREC_TEST_SOURCE_DIR
 #define MICROREC_TEST_SOURCE_DIR "."
@@ -44,7 +46,7 @@ class GoldenSnapshotTest : public ::testing::Test {
   void SetUp() override {
     ego_ = world_.AddUser("ego");
     feed_ = world_.AddUser("feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, feed_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, feed_));
     const char* texts[] = {
         "fluffy cat naps on warm windowsill",
         "my cat chases the red laser dot",
@@ -96,8 +98,8 @@ class GoldenSnapshotTest : public ::testing::Test {
   /// Cold-trains the reference engine the fixture must match.
   std::unique_ptr<Engine> ColdTrain() {
     auto engine = MakeEngine(config_);
-    EXPECT_TRUE(engine->Prepare(ctx_).ok());
-    EXPECT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
+    EXPECT_OK(engine->Prepare(ctx_));
+    EXPECT_OK(engine->BuildUser(ego_, train_, ctx_));
     return engine;
   }
 
@@ -118,7 +120,7 @@ TEST_F(GoldenSnapshotTest, CommittedV1FixtureWarmStartsBitIdentically) {
     std::filesystem::create_directories(
         std::filesystem::path(path).parent_path());
     auto engine = ColdTrain();
-    ASSERT_TRUE(engine->SaveSnapshot(path, ctx_).ok());
+    ASSERT_OK(engine->SaveSnapshot(path, ctx_));
     fprintf(stderr, "regenerated golden fixture: %s\n", path.c_str());
   }
   ASSERT_TRUE(std::filesystem::exists(path))
@@ -142,7 +144,7 @@ TEST_F(GoldenSnapshotTest, CommittedV1FixtureWarmStartsBitIdentically) {
   auto restored = MakeEngine(config_);
   Status load = restored->LoadSnapshot(path, ctx_);
   ASSERT_TRUE(load.ok()) << load.ToString();
-  ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx_).ok());  // no-op
+  ASSERT_OK(restored->BuildUser(ego_, train_, ctx_));  // no-op
   EXPECT_EQ(restored->Score(ego_, test_cat_, ctx_), cat);
   EXPECT_EQ(restored->Score(ego_, test_stock_, ctx_), stock);
 
@@ -165,19 +167,15 @@ TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
     GTEST_SKIP() << path << " missing";
   }
   auto restored = MakeEngine(config_);
-  ASSERT_TRUE(restored->LoadSnapshot(path, ctx_).ok());
+  ASSERT_OK(restored->LoadSnapshot(path, ctx_));
   const double cat = restored->Score(ego_, test_cat_, ctx_);
   const double stock = restored->Score(ego_, test_stock_, ctx_);
 
-  const std::string v2_path =
-      (std::filesystem::temp_directory_path() /
-       ("microrec_golden_v2_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-        ".snap"))
-          .string();
+  testutil::ScratchDir scratch("microrec_golden_v2");
+  const std::string v2_path = scratch.File("golden_v2.snap");
   EngineContext v2_ctx = ctx_;
   v2_ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
-  ASSERT_TRUE(restored->SaveSnapshot(v2_path, v2_ctx).ok());
+  ASSERT_OK(restored->SaveSnapshot(v2_path, v2_ctx));
 
   EngineContext mmap_ctx = v2_ctx;
   mmap_ctx.serve_mode = ServeMode::kMmap;
@@ -186,8 +184,26 @@ TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
   ASSERT_TRUE(open.ok()) << open.ToString();
   EXPECT_EQ(mapped->Score(ego_, test_cat_, mmap_ctx), cat);
   EXPECT_EQ(mapped->Score(ego_, test_stock_, mmap_ctx), stock);
-  std::error_code ec;
-  std::filesystem::remove(v2_path, ec);
+}
+
+TEST_F(GoldenSnapshotTest, ColdTrainResavesByteIdenticalToFixture) {
+  // The v1 write path is frozen too: today's code, trained cold on the
+  // fixture world, writes exactly the committed bytes.
+  const std::string path = GoldenPath();
+  ASSERT_TRUE(std::filesystem::exists(path)) << path << " missing";
+  testutil::ScratchDir scratch("microrec_golden_resave");
+  const std::string resaved = scratch.File("golden_tn_v1.snap");
+  auto cold = ColdTrain();
+  ASSERT_OK(cold->SaveSnapshot(resaved, ctx_));
+  auto read = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string committed = read(path);
+  ASSERT_FALSE(committed.empty());
+  EXPECT_TRUE(read(resaved) == committed)
+      << "cold-trained TN no longer re-saves the committed fixture bytes";
 }
 
 }  // namespace

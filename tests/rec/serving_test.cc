@@ -14,6 +14,8 @@
 #include "obs/metrics.h"
 #include "obs/request.h"
 #include "resilience/fault.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::rec {
 namespace {
@@ -28,8 +30,8 @@ class ServingFixture : public ::testing::Test {
     ego_ = world_.AddUser("ego");
     cats_ = world_.AddUser("cats_feed");
     stocks_ = world_.AddUser("stocks_feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(ego_, stocks_));
 
     const char* cat_texts[] = {
         "fluffy cat naps on warm windowsill",
@@ -51,7 +53,7 @@ class ServingFixture : public ::testing::Test {
       stock_posts_.push_back(*world_.AddTweet(stocks_, t += 10, text));
     }
     rival_ = world_.AddUser("rival");
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(rival_, stocks_));
     for (int i = 0; i < 3; ++i) {
       (void)*world_.AddTweet(ego_, t += 10, "", cat_posts_[i]);
       (void)*world_.AddTweet(rival_, t += 10, "", stock_posts_[i]);
@@ -80,12 +82,7 @@ class ServingFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_serving_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
-    std::filesystem::create_directories(dir_);
+    dir_ = scratch_.path();
 
     // Train-once: persist the primary engine the recommender will load.
     primary_config_.kind = ModelKind::kTN;
@@ -96,16 +93,12 @@ class ServingFixture : public ::testing::Test {
     primary_config_.bag.similarity = bag::BagSimilarity::kCosine;
     snapshot_path_ = dir_ + "/primary.snap";
     auto engine = MakeEngine(primary_config_);
-    ASSERT_TRUE(engine->Prepare(ctx_).ok());
-    ASSERT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
-    ASSERT_TRUE(engine->SaveSnapshot(snapshot_path_, ctx_).ok());
+    ASSERT_OK(engine->Prepare(ctx_));
+    ASSERT_OK(engine->BuildUser(ego_, train_, ctx_));
+    ASSERT_OK(engine->SaveSnapshot(snapshot_path_, ctx_));
   }
 
-  void TearDown() override {
-    resilience::ClearFaults();
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
+  void TearDown() override { resilience::ClearFaults(); }
 
   ServingOptions Options() const {
     ServingOptions options;
@@ -128,6 +121,7 @@ class ServingFixture : public ::testing::Test {
   TweetId test_cat_ = 0, test_stock_ = 0;
   ModelConfig primary_config_;
   std::string snapshot_path_;
+  testutil::ScratchDir scratch_{"microrec_serving"};
   std::string dir_;
 };
 
@@ -139,7 +133,7 @@ TEST_F(ServingFixture, PrimaryRungServesFromSnapshot) {
   ASSERT_EQ(result.ranking.size(), 2u);
   EXPECT_EQ(result.ranking[0].tweet, test_cat_);
   EXPECT_GT(result.ranking[0].score, result.ranking[1].score);
-  EXPECT_TRUE(rec.primary_status().ok());
+  EXPECT_OK(rec.primary_status());
 }
 
 TEST_F(ServingFixture, InjectedLoadFaultDegradesToBagFallback) {
@@ -414,8 +408,8 @@ TEST_F(ServingFixture, RequestTraceAttributesStagesPerRung) {
 
 TEST_F(ServingFixture, WarmLoadsPrimaryEagerly) {
   DegradingRecommender rec(ctx_, Options());
-  EXPECT_TRUE(rec.Warm().ok());
-  EXPECT_TRUE(rec.primary_status().ok());
+  EXPECT_OK(rec.Warm());
+  EXPECT_OK(rec.primary_status());
 
   resilience::ArmFault(resilience::kSiteSnapshotLoad,
                        resilience::FaultSpec{.every_nth = 1});

@@ -18,6 +18,8 @@
 #include "rec/router.h"
 #include "rec/serving.h"
 #include "resilience/fault.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::rec {
 namespace {
@@ -172,8 +174,8 @@ class ShardedFixture : public ::testing::Test {
     ego_ = world_.AddUser("ego");
     cats_ = world_.AddUser("cats_feed");
     stocks_ = world_.AddUser("stocks_feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(ego_, stocks_));
 
     const char* cat_texts[] = {
         "fluffy cat naps on warm windowsill",
@@ -195,7 +197,7 @@ class ShardedFixture : public ::testing::Test {
       stock_posts_.push_back(*world_.AddTweet(stocks_, t += 10, text));
     }
     rival_ = world_.AddUser("rival");
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(rival_, stocks_));
     for (int i = 0; i < 3; ++i) {
       (void)*world_.AddTweet(ego_, t += 10, "", cat_posts_[i]);
       (void)*world_.AddTweet(rival_, t += 10, "", stock_posts_[i]);
@@ -224,12 +226,7 @@ class ShardedFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_sharded_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
-    std::filesystem::create_directories(dir_);
+    dir_ = scratch_.path();
 
     config_.kind = ModelKind::kTN;
     config_.bag.kind = bag::NgramKind::kToken;
@@ -239,21 +236,17 @@ class ShardedFixture : public ::testing::Test {
     config_.bag.similarity = bag::BagSimilarity::kCosine;
     snapshot_path_ = dir_ + "/primary.snap";
     auto engine = MakeEngine(config_);
-    ASSERT_TRUE(engine->Prepare(ctx_).ok());
-    ASSERT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
-    ASSERT_TRUE(engine->BuildUser(rival_, rival_train_, ctx_).ok());
-    ASSERT_TRUE(engine->SaveSnapshot(snapshot_path_, ctx_).ok());
+    ASSERT_OK(engine->Prepare(ctx_));
+    ASSERT_OK(engine->BuildUser(ego_, train_, ctx_));
+    ASSERT_OK(engine->BuildUser(rival_, rival_train_, ctx_));
+    ASSERT_OK(engine->SaveSnapshot(snapshot_path_, ctx_));
     for (size_t shards : {2u, 4u}) {
-      ASSERT_TRUE(
-          BuildShardSnapshots(config_, ctx_, shards, snapshot_path_).ok());
+      ASSERT_OK(
+          BuildShardSnapshots(config_, ctx_, shards, snapshot_path_));
     }
   }
 
-  void TearDown() override {
-    resilience::ClearFaults();
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
+  void TearDown() override { resilience::ClearFaults(); }
 
   ShardedServingOptions Options(size_t shards) const {
     ShardedServingOptions options;
@@ -281,14 +274,15 @@ class ShardedFixture : public ::testing::Test {
   TweetId test_cat_ = 0, test_stock_ = 0;
   ModelConfig config_;
   std::string snapshot_path_;
+  testutil::ScratchDir scratch_{"microrec_sharded"};
   std::string dir_;
 };
 
 TEST_F(ShardedFixture, BuildShardSnapshotsWritesOneFilePerShard) {
   std::vector<std::string> paths;
-  ASSERT_TRUE(
+  ASSERT_OK(
       BuildShardSnapshots(config_, ctx_, 3, dir_ + "/probe.snap", &paths)
-          .ok());
+          );
   ASSERT_EQ(paths.size(), 3u);
   for (size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(paths[s], ShardSnapshotPath(dir_ + "/probe.snap", s, 3));
@@ -335,9 +329,9 @@ TEST_F(ShardedFixture, FailoverServesIdenticalRankingFromAnotherShard) {
 TEST_F(ShardedFixture, KillAfterDropsShardMidRunAndTripsItsBreaker) {
   ShardedRecommender sharded(ctx_, Options(4));
   const size_t owner = ShardOf(ego_, 4);
-  ASSERT_TRUE(resilience::ArmFaultsFromSpec("shard.query#" +
+  ASSERT_OK(resilience::ArmFaultsFromSpec("shard.query#" +
                                             std::to_string(owner) + ":+2")
-                  .ok());
+                  );
   // Healthy for the first two hits, dead from the third on.
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(sharded.Recommend(ego_, Candidates()).shard, owner);
@@ -405,13 +399,13 @@ TEST_F(ShardedFixture, HedgeReissuesToFallbackAfterTheWindow) {
 TEST_F(ShardedFixture, ProfileLookupFailsOverLikeQueries) {
   ShardedRecommender sharded(ctx_, Options(4));
   Result<size_t> healthy = sharded.ProfileLookup(ego_);
-  ASSERT_TRUE(healthy.ok());
+  ASSERT_OK(healthy);
   EXPECT_GT(*healthy, 0u);
   const size_t owner = ShardOf(ego_, 4);
   resilience::ArmFault("shard.query#" + std::to_string(owner),
                        resilience::FaultSpec{.every_nth = 1});
   Result<size_t> failed_over = sharded.ProfileLookup(ego_);
-  ASSERT_TRUE(failed_over.ok());
+  ASSERT_OK(failed_over);
   EXPECT_EQ(*failed_over, *healthy);
 }
 
@@ -447,7 +441,7 @@ TEST_F(ShardedFixture, WarmWhileServingNeverServesHalfLoadedPrimary) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : servers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_TRUE(sharded.Warm().ok());
+  EXPECT_OK(sharded.Warm());
 }
 
 TEST_F(ShardedFixture, HealthAccountsEveryServedQuery) {

@@ -14,6 +14,8 @@
 #include "snapshot/codec.h"
 #include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::snapshot {
 namespace {
@@ -21,17 +23,7 @@ namespace {
 class MappedSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_mapped_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
+    dir_ = scratch_.path();
   }
 
   std::string Path(const std::string& name) const {
@@ -70,14 +62,15 @@ class MappedSnapshotTest : public ::testing::Test {
     writer.AddSection("vocab", vocab.Release());
     TableBuilder users;
     for (const auto& [id, row] : TestRows()) {
-      EXPECT_TRUE(users.AddRow(id, row).ok());
+      EXPECT_OK(users.AddRow(id, row));
     }
     writer.AddSection("users", std::move(users).Finish());
     const std::string path = Path(name);
-    EXPECT_TRUE(writer.Commit(path).ok());
+    EXPECT_OK(writer.Commit(path));
     return path;
   }
 
+  testutil::ScratchDir scratch_{"microrec_mapped"};
   std::string dir_;
 };
 
@@ -92,12 +85,12 @@ TEST_F(MappedSnapshotTest, OpenParsesBothVersions) {
     EXPECT_EQ(mapped->version(), version);
     EXPECT_EQ(mapped->header().model, "TN");
     EXPECT_EQ(mapped->header().seed, 7u);
-    EXPECT_TRUE(mapped->Find("vocab").ok());
-    EXPECT_TRUE(mapped->Find("users").ok());
+    EXPECT_OK(mapped->Find("vocab"));
+    EXPECT_OK(mapped->Find("users"));
     EXPECT_EQ(mapped->Find("nope").status().code(), StatusCode::kNotFound);
-    EXPECT_TRUE(mapped
+    EXPECT_OK(mapped
                     ->VerifyIdentity("TN", "R", 7, 0.05, "deadbeef01234567")
-                    .ok());
+                    );
     EXPECT_EQ(mapped->VerifyIdentity("LDA", "R", 7, 0.05,
                                      "deadbeef01234567")
                   .code(),
@@ -128,7 +121,7 @@ TEST_F(MappedSnapshotTest, ReadSectionMatchesResidentParseForBothVersions) {
 TEST_F(MappedSnapshotTest, TableRowsReadBackExactly) {
   const std::string path = WriteSnapshot("table", SnapshotCodec::kCompressed);
   Result<MappedFile> mapped = MappedFile::Open(path);
-  ASSERT_TRUE(mapped.ok());
+  ASSERT_OK(mapped);
   Result<MappedTable> table = MappedTable::Open(*mapped, "users");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   const auto rows = TestRows();
@@ -137,16 +130,16 @@ TEST_F(MappedSnapshotTest, TableRowsReadBackExactly) {
     EXPECT_EQ(table->id_at(i), rows[i].first);
     bool found = false;
     std::string row;
-    ASSERT_TRUE(table->Row(rows[i].first, &found, &row).ok());
+    ASSERT_OK(table->Row(rows[i].first, &found, &row));
     EXPECT_TRUE(found);
     EXPECT_EQ(row, rows[i].second) << "row " << i;
-    ASSERT_TRUE(table->RowAt(i, &row).ok());
+    ASSERT_OK(table->RowAt(i, &row));
     EXPECT_EQ(row, rows[i].second) << "ordinal " << i;
   }
   // Absent ids (even ids were never inserted) miss cleanly.
   bool found = true;
   std::string row = "sentinel";
-  ASSERT_TRUE(table->Row(2, &found, &row).ok());
+  ASSERT_OK(table->Row(2, &found, &row));
   EXPECT_FALSE(found);
   EXPECT_TRUE(row.empty());
 }
@@ -156,7 +149,7 @@ TEST_F(MappedSnapshotTest, TableOpenOnV1SectionIsAnError) {
   // Status, not misread it.
   const std::string path = WriteSnapshot("tv1", SnapshotCodec::kRaw);
   Result<MappedFile> mapped = MappedFile::Open(path);
-  ASSERT_TRUE(mapped.ok());
+  ASSERT_OK(mapped);
   Result<MappedTable> table = MappedTable::Open(*mapped, "users");
   EXPECT_FALSE(table.ok());
 }

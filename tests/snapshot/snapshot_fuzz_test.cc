@@ -27,6 +27,8 @@
 #include "snapshot/snapshot.h"
 #include "corpus/corpus.h"
 #include "corpus/io.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::snapshot {
 namespace {
@@ -185,7 +187,7 @@ std::string PristineSnapshotV2() {
     std::string row;
     PutDeltaIds(&row, {u, u + 3, u + 100});
     PutVarint(&row, u * 17);
-    EXPECT_TRUE(users.AddRow(u * 2, row).ok());
+    EXPECT_OK(users.AddRow(u * 2, row));
   }
   writer.AddSection("users", std::move(users).Finish());
   return writer.Serialize();
@@ -227,15 +229,10 @@ TEST(SnapshotFuzzTest, MutatedV2MappedReadsErrorNeverCrash) {
   // CRCs are what make "accepted implies identical" hold).
   const std::string pristine = PristineSnapshotV2();
   Result<File> reference = File::Parse(pristine, "<fuzz>");
-  ASSERT_TRUE(reference.ok());
+  ASSERT_OK(reference);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("microrec_fuzz_mapped_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
-          .string();
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/mutant.snap";
+  testutil::ScratchDir scratch("microrec_fuzz_mapped");
+  const std::string path = scratch.File("mutant.snap");
 
   const uint64_t seed = FuzzSeed() + 2;
   const size_t n = FuzzN() / 5;
@@ -269,8 +266,6 @@ TEST(SnapshotFuzzTest, MutatedV2MappedReadsErrorNeverCrash) {
       (void)table->RowAt(ordinal, &row);  // must not crash; status is free
     }
   }
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
 
 /// Recomputes every outer frame CRC of a serialized container, so payload
@@ -383,7 +378,7 @@ TEST(SnapshotFuzzTest, V2StreamMutantsUnderFrameCrcAreStillCaught) {
       // A splice can no-op (identical source bytes); then the parse must
       // present pristine logical data.
       Result<File> ref = File::Parse(pristine, "<fuzz>");
-      ASSERT_TRUE(ref.ok());
+      ASSERT_OK(ref);
       EXPECT_EQ((*file->Find("users"))->payload,
                 (*ref->Find("users"))->payload);
     } else {
@@ -398,15 +393,15 @@ void PristineCorpusTsv(std::string* users, std::string* tweets) {
   corpus::Corpus world;
   corpus::UserId a = world.AddUser("alice");
   corpus::UserId b = world.AddUser("bob");
-  ASSERT_TRUE(world.graph().AddFollow(a, b).ok());
+  ASSERT_OK(world.graph().AddFollow(a, b));
   corpus::TweetId t0 =
       *world.AddTweet(b, 10, "tab\there and line\nbreak and \\slash");
   (void)*world.AddTweet(b, 20, "plain second post");
   (void)*world.AddTweet(a, 30, "", t0);
   world.Finalize();
   std::ostringstream users_os, tweets_os;
-  ASSERT_TRUE(corpus::WriteUsers(world, users_os).ok());
-  ASSERT_TRUE(corpus::WriteTweets(world, tweets_os).ok());
+  ASSERT_OK(corpus::WriteUsers(world, users_os));
+  ASSERT_OK(corpus::WriteTweets(world, tweets_os));
   *users = users_os.str();
   *tweets = tweets_os.str();
 }

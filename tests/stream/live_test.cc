@@ -61,9 +61,9 @@ TEST_F(LiveFixture, QueryBeforeFirstPublishIsFailedPrecondition) {
 
 TEST_F(LiveFixture, PublishThenRecommendServesPrimary) {
   LiveWorld world = MakeLiveWorld(this, 1, NewDir("basic"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   EXPECT_EQ(world.live->EpochOf(0), 1u);
-  ASSERT_TRUE(world.live->Warm().ok());
+  ASSERT_OK(world.live->Warm());
 
   rec::QueryOptions query;
   query.request_id = 7;
@@ -83,25 +83,25 @@ TEST_F(LiveFixture, PublishThenRecommendServesPrimary) {
 
 TEST_F(LiveFixture, RotationKeepsDisjointUserRankingsStable) {
   LiveWorld world = MakeLiveWorld(this, 2, NewDir("stable"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   rec::QueryOptions query;
   query.request_id = 42;
   Result<rec::RecommendResult> before =
       world.live->Recommend(ego_, {test_stock_, test_cat_}, query);
-  ASSERT_TRUE(before.ok());
+  ASSERT_OK(before);
   const uint64_t hash_before = load::RankingHash(before->ranking);
 
   // Stream a few rival batches through a checkpoint and republish.
-  ASSERT_TRUE(world.session->IngestNext().ok());
-  ASSERT_TRUE(world.session->IngestNext().ok());
-  ASSERT_TRUE(world.session->Checkpoint().ok());
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(world.session->IngestNext());
+  ASSERT_OK(world.session->IngestNext());
+  ASSERT_OK(world.session->Checkpoint());
+  ASSERT_OK(PublishCurrent(&world));
   EXPECT_EQ(world.live->EpochOf(0), 2u);
   EXPECT_EQ(world.live->EpochOf(1), 2u);
 
   Result<rec::RecommendResult> after =
       world.live->Recommend(ego_, {test_stock_, test_cat_}, query);
-  ASSERT_TRUE(after.ok());
+  ASSERT_OK(after);
   // Ego is not a stream user: the same request id must hash identically
   // across epochs — the rotation-invariance property the load gate checks.
   EXPECT_EQ(load::RankingHash(after->ranking), hash_before);
@@ -109,12 +109,12 @@ TEST_F(LiveFixture, RotationKeepsDisjointUserRankingsStable) {
 
 TEST_F(LiveFixture, ConcurrentQueriesAcrossRotationsSeeZeroErrors) {
   LiveWorld world = MakeLiveWorld(this, 2, NewDir("concurrent"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   rec::QueryOptions probe;
   probe.request_id = 99;
   Result<rec::RecommendResult> baseline =
       world.live->Recommend(ego_, {test_stock_, test_cat_}, probe);
-  ASSERT_TRUE(baseline.ok());
+  ASSERT_OK(baseline);
   const uint64_t expect_hash = load::RankingHash(baseline->ranking);
 
   std::atomic<bool> stop{false};
@@ -144,8 +144,8 @@ TEST_F(LiveFixture, ConcurrentQueriesAcrossRotationsSeeZeroErrors) {
   while (world.session->remaining_batches() > 0) {
     Result<uint64_t> applied = world.session->IngestNext();
     ASSERT_TRUE(applied.ok()) << applied.status().message();
-    ASSERT_TRUE(world.session->Checkpoint().ok());
-    ASSERT_TRUE(PublishCurrent(&world).ok());
+    ASSERT_OK(world.session->Checkpoint());
+    ASSERT_OK(PublishCurrent(&world));
   }
   stop.store(true);
   for (std::thread& t : clients) t.join();
@@ -157,12 +157,12 @@ TEST_F(LiveFixture, ConcurrentQueriesAcrossRotationsSeeZeroErrors) {
 
 TEST_F(LiveFixture, EpochSwapFaultLeavesMixedEpochsServing) {
   LiveWorld world = MakeLiveWorld(this, 2, NewDir("mixed"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   ASSERT_EQ(world.live->EpochOf(0), 1u);
   ASSERT_EQ(world.live->EpochOf(1), 1u);
 
-  ASSERT_TRUE(world.session->IngestNext().ok());
-  ASSERT_TRUE(world.session->Checkpoint().ok());
+  ASSERT_OK(world.session->IngestNext());
+  ASSERT_OK(world.session->Checkpoint());
   // Fire on the second shard's flip: shard 0 rotates, shard 1 keeps epoch 1.
   resilience::ArmFault(resilience::kSiteEpochSwap,
                        resilience::FaultSpec{.every_nth = 2});
@@ -182,14 +182,14 @@ TEST_F(LiveFixture, EpochSwapFaultLeavesMixedEpochsServing) {
   }
 
   // A later clean publish heals the ring.
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   EXPECT_EQ(world.live->EpochOf(0), 2u);
   EXPECT_EQ(world.live->EpochOf(1), 2u);
 }
 
 TEST_F(LiveFixture, BadSnapshotPublishFailsAndKeepsServing) {
   LiveWorld world = MakeLiveWorld(this, 1, NewDir("badsnap"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
   Status published =
       world.live->Publish(root_ + "/does_not_exist.snap", 9,
                           world.session->CopyTrainSets());
@@ -204,7 +204,7 @@ TEST_F(LiveFixture, BadSnapshotPublishFailsAndKeepsServing) {
 
 TEST_F(LiveFixture, LiveBackendServesAndDrivesIngest) {
   LiveWorld world = MakeLiveWorld(this, 1, NewDir("backend"));
-  ASSERT_TRUE(PublishCurrent(&world).ok());
+  ASSERT_OK(PublishCurrent(&world));
 
   LiveBackend::Options options;
   options.live = world.live;
@@ -227,7 +227,7 @@ TEST_F(LiveFixture, LiveBackendServesAndDrivesIngest) {
   };
   load::BackendFactory factory = LiveBackend::Factory(options);
   std::unique_ptr<load::Backend> backend = factory();
-  ASSERT_TRUE(backend->Warm().ok());
+  ASSERT_OK(backend->Warm());
 
   obs::RequestTrace trace(11, "recommend");
   Result<load::RecommendOutcome> outcome = backend->Recommend(11, 0, &trace);
@@ -248,7 +248,7 @@ TEST_F(LiveFixture, LiveBackendServesAndDrivesIngest) {
   // Same rid, same user, post-rotation: the ranking hash is unchanged
   // because only rival's models moved.
   outcome = backend->Recommend(11, 0, &trace);
-  ASSERT_TRUE(outcome.ok());
+  ASSERT_OK(outcome);
   EXPECT_EQ(outcome->ranking_hash, hash_before);
 
   Result<uint64_t> profile = backend->ProfileLookup(1);  // rival

@@ -30,7 +30,7 @@ std::string CleanRunBytes(StreamFixture* f, const rec::ModelConfig& config,
   Result<std::unique_ptr<StreamSession>> session = StreamSession::Open(
       f->ctx_, cut, f->SessionOptions(config, dir, 2, checkpoint_every));
   EXPECT_TRUE(session.ok()) << session.status().message();
-  EXPECT_TRUE((*session)->IngestAll().ok());
+  EXPECT_OK((*session)->IngestAll());
   Result<std::string> bytes = (*session)->StateBytes();
   EXPECT_TRUE(bytes.ok()) << bytes.status().message();
   return *bytes;
@@ -83,7 +83,7 @@ TEST_F(SessionFixture, StreamUserSubsetLeavesOthersUncut) {
 
 TEST_F(SessionFixture, ColdOpenCheckpointsImmediately) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("cold");
   Result<std::unique_ptr<StreamSession>> session =
       StreamSession::Open(ctx_, *cut, SessionOptions(TnConfig(), dir));
@@ -99,11 +99,11 @@ TEST_F(SessionFixture, ColdOpenCheckpointsImmediately) {
 
 TEST_F(SessionFixture, IngestAllExtendsTrainSetsToTheFullSplit) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   Result<std::unique_ptr<StreamSession>> session = StreamSession::Open(
       ctx_, *cut, SessionOptions(TnConfig(), NewDir("drain")));
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->IngestAll().ok());
+  ASSERT_OK(session);
+  ASSERT_OK((*session)->IngestAll());
   EXPECT_EQ((*session)->remaining_batches(), 0u);
   // Every original doc is back, in deterministic (base ++ time) order.
   auto sorted = [](std::vector<corpus::TweetId> docs) {
@@ -115,14 +115,14 @@ TEST_F(SessionFixture, IngestAllExtendsTrainSetsToTheFullSplit) {
             sorted(rival_train_.docs));
   // A drained IngestNext is a clean no-op.
   Result<uint64_t> extra = (*session)->IngestNext();
-  ASSERT_TRUE(extra.ok());
+  ASSERT_OK(extra);
   EXPECT_EQ(*extra, 0u);
   EXPECT_GT((*session)->frontier_time(), cut->cut_time);
 }
 
 TEST_F(SessionFixture, ReopenAfterCleanRunIsBitIdentical) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("reopen");
   const std::string clean = CleanRunBytes(this, TnConfig(), *cut, dir);
   // No checkpoint since the cold one: recovery = cold snapshot + full WAL
@@ -132,7 +132,7 @@ TEST_F(SessionFixture, ReopenAfterCleanRunIsBitIdentical) {
   ASSERT_TRUE(session.ok()) << session.status().message();
   EXPECT_EQ((*session)->remaining_batches(), 0u);
   Result<std::string> bytes = (*session)->StateBytes();
-  ASSERT_TRUE(bytes.ok());
+  ASSERT_OK(bytes);
   EXPECT_EQ(*bytes, clean);
 }
 
@@ -146,7 +146,7 @@ void KillRecoverCase(StreamFixture* f, const rec::ModelConfig& config,
   SCOPED_TRACE(std::string(site) + " after " + std::to_string(after_nth) +
                " ckpt_every " + std::to_string(checkpoint_every));
   Result<StreamCut> cut = f->Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string clean_dir =
       f->NewDir("clean_" + std::to_string(after_nth));
   const std::string clean =
@@ -171,9 +171,9 @@ void KillRecoverCase(StreamFixture* f, const rec::ModelConfig& config,
   Result<std::unique_ptr<StreamSession>> recovered = StreamSession::Open(
       f->ctx_, *cut, f->SessionOptions(config, dir, 2, checkpoint_every));
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  ASSERT_TRUE((*recovered)->IngestAll().ok());
+  ASSERT_OK((*recovered)->IngestAll());
   Result<std::string> bytes = (*recovered)->StateBytes();
-  ASSERT_TRUE(bytes.ok());
+  ASSERT_OK(bytes);
   EXPECT_EQ(*bytes, clean) << "recovered state diverged from the clean run";
 }
 
@@ -211,17 +211,17 @@ TEST_F(SessionFixture, TopicEngineKillRecoverIsBitIdentical) {
 
 TEST_F(SessionFixture, CheckpointPrunesWalAndStaleSnapshots) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("prune");
   Result<std::unique_ptr<StreamSession>> session = StreamSession::Open(
       ctx_, *cut, SessionOptions(TnConfig(), dir, 2, /*checkpoint_every=*/2));
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->IngestAll().ok());
-  ASSERT_TRUE((*session)->Checkpoint().ok());
+  ASSERT_OK(session);
+  ASSERT_OK((*session)->IngestAll());
+  ASSERT_OK((*session)->Checkpoint());
   // WAL: nothing sealed survives the checkpoint; only the open segment.
   Result<std::vector<WalSegmentInfo>> segments =
       ListWalSegments(dir + "/wal");
-  ASSERT_TRUE(segments.ok());
+  ASSERT_OK(segments);
   ASSERT_EQ(segments->size(), 1u);
   EXPECT_FALSE((*segments)[0].sealed);
   // Snapshots: only the one CURRENT names.
@@ -239,17 +239,17 @@ TEST_F(SessionFixture, CheckpointPrunesWalAndStaleSnapshots) {
 
 TEST_F(SessionFixture, ReplayedOldBatchesAreSkippedIdempotently) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("idem");
   std::string drained;
   {
     Result<std::unique_ptr<StreamSession>> session =
         StreamSession::Open(ctx_, *cut, SessionOptions(TnConfig(), dir));
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE((*session)->IngestAll().ok());
-    ASSERT_TRUE((*session)->Checkpoint().ok());
+    ASSERT_OK(session);
+    ASSERT_OK((*session)->IngestAll());
+    ASSERT_OK((*session)->Checkpoint());
     Result<std::string> bytes = (*session)->StateBytes();
-    ASSERT_TRUE(bytes.ok());
+    ASSERT_OK(bytes);
     drained = *bytes;
   }
   // Plant a stale sealed segment re-offering batch 1 — the shape a prune
@@ -276,18 +276,18 @@ TEST_F(SessionFixture, ReplayedOldBatchesAreSkippedIdempotently) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   EXPECT_EQ((*reopened)->remaining_batches(), 0u);
   Result<std::string> bytes = (*reopened)->StateBytes();
-  ASSERT_TRUE(bytes.ok());
+  ASSERT_OK(bytes);
   EXPECT_EQ(*bytes, drained);
 }
 
 TEST_F(SessionFixture, BatchGapInTheLogIsDataLoss) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("gap");
   {
     Result<std::unique_ptr<StreamSession>> session =
         StreamSession::Open(ctx_, *cut, SessionOptions(TnConfig(), dir));
-    ASSERT_TRUE(session.ok());
+    ASSERT_OK(session);
   }
   // Plant a sealed segment whose first batch id jumps past the expected
   // next batch: the log lost a record, which recovery must refuse.
@@ -318,12 +318,12 @@ TEST_F(SessionFixture, BatchGapInTheLogIsDataLoss) {
 
 TEST_F(SessionFixture, CorruptCurrentFileIsDataLossNotSilentRetrain) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("current");
   {
     Result<std::unique_ptr<StreamSession>> session =
         StreamSession::Open(ctx_, *cut, SessionOptions(TnConfig(), dir));
-    ASSERT_TRUE(session.ok());
+    ASSERT_OK(session);
   }
   {
     std::ofstream out(dir + "/CURRENT", std::ios::trunc);
@@ -349,13 +349,13 @@ TEST_F(SessionFixture, CorruptCurrentFileIsDataLossNotSilentRetrain) {
 
 TEST_F(SessionFixture, MissingNamedSnapshotFailsRecovery) {
   Result<StreamCut> cut = Cut(0.5);
-  ASSERT_TRUE(cut.ok());
+  ASSERT_OK(cut);
   const std::string dir = NewDir("nosnap");
   std::string snap_path;
   {
     Result<std::unique_ptr<StreamSession>> session =
         StreamSession::Open(ctx_, *cut, SessionOptions(TnConfig(), dir));
-    ASSERT_TRUE(session.ok());
+    ASSERT_OK(session);
     snap_path = (*session)->checkpoint_snapshot_path();
   }
   fs::remove(snap_path);

@@ -19,6 +19,8 @@
 #include "rec/preprocessed.h"
 #include "resilience/fault.h"
 #include "stream/session.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::stream {
 
@@ -31,10 +33,10 @@ class StreamFixture : public ::testing::Test {
     rival_ = world_.AddUser("rival");
     cats_ = world_.AddUser("cats_feed");
     stocks_ = world_.AddUser("stocks_feed");
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(ego_, stocks_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, cats_).ok());
-    ASSERT_TRUE(world_.graph().AddFollow(rival_, stocks_).ok());
+    ASSERT_OK(world_.graph().AddFollow(ego_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(ego_, stocks_));
+    ASSERT_OK(world_.graph().AddFollow(rival_, cats_));
+    ASSERT_OK(world_.graph().AddFollow(rival_, stocks_));
 
     const char* cat_texts[] = {
         "fluffy cat naps on warm windowsill",
@@ -90,23 +92,10 @@ class StreamFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.05;
     ctx_.llda_min_hashtag_count = 1;
 
-    root_ = (std::filesystem::temp_directory_path() /
-             ("microrec_stream_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name()) +
-              "_" +
-              std::to_string(
-                  ::testing::UnitTest::GetInstance()->random_seed())))
-                .string();
-    std::filesystem::create_directories(root_);
+    root_ = scratch_.path();
   }
 
-  void TearDown() override {
-    resilience::ClearFaults();
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
+  void TearDown() override { resilience::ClearFaults(); }
 
   /// A fresh state directory under the test root.
   std::string NewDir(const std::string& name) {
@@ -161,6 +150,7 @@ class StreamFixture : public ::testing::Test {
   std::vector<corpus::TweetId> cat_posts_, stock_posts_;
   corpus::TweetId test_cat_ = 0, test_stock_ = 0;
   corpus::Timestamp test_time_ = 0;
+  testutil::ScratchDir scratch_{"microrec_stream"};
   std::string root_;
 };
 

@@ -18,6 +18,8 @@
 #include "snapshot/fuzz.h"
 #include "stream/record.h"
 #include "stream/wal.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::stream {
 namespace {
@@ -54,12 +56,8 @@ std::string DumpArtifact(const std::string& format, uint64_t seed,
 /// and one checkpoint record, written through the real writer so framing
 /// is exactly what production produces.
 std::string PristineSegment(std::vector<std::string>* payloads) {
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("microrec_walfuzz_pristine_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
-          .string();
-  fs::create_directories(dir);
+  testutil::ScratchDir scratch("microrec_walfuzz_pristine");
+  const std::string& dir = scratch.path();
   const char* texts[] = {
       "fluffy cat naps on warm windowsill",
       "bond yields fall after rate decision",
@@ -67,7 +65,7 @@ std::string PristineSegment(std::vector<std::string>* payloads) {
   };
   {
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir);
-    EXPECT_TRUE(writer.ok());
+    EXPECT_OK(writer);
     uint64_t tweet_id = 100;
     for (uint64_t b = 1; b <= 3; ++b) {
       TweetBatch batch;
@@ -81,17 +79,15 @@ std::string PristineSegment(std::vector<std::string>* payloads) {
         batch.tweets.push_back(tweet);
       }
       payloads->push_back(EncodeBatchRecord(batch));
-      EXPECT_TRUE((*writer)->Append(payloads->back()).ok());
+      EXPECT_OK((*writer)->Append(payloads->back()));
     }
     payloads->push_back(EncodeCheckpointRecord({3, 1}));
-    EXPECT_TRUE((*writer)->Append(payloads->back()).ok());
+    EXPECT_OK((*writer)->Append(payloads->back()));
   }
   std::ifstream in(dir + "/" + WalSegmentFileName(1, /*sealed=*/false),
                    std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  std::error_code ec;
-  fs::remove_all(dir, ec);
   return bytes;
 }
 
@@ -113,20 +109,8 @@ Result<WalReplayStats> ReplayAndDecode(const std::string& dir,
 class WalFuzzFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("microrec_walfuzz_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()) +
-             "_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
+    // InstallSegment recreates the log directory inside the scratch one.
+    dir_ = scratch_.File("log");
   }
 
   /// Installs `bytes` as the only segment of a fresh log directory.
@@ -140,6 +124,7 @@ class WalFuzzFixture : public ::testing::Test {
     ASSERT_TRUE(out.good());
   }
 
+  testutil::ScratchDir scratch_{"microrec_walfuzz"};
   std::string dir_;
 };
 

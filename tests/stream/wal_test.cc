@@ -15,6 +15,8 @@
 #include "resilience/fault.h"
 #include "snapshot/format.h"
 #include "stream/record.h"
+#include "testing/scratch_dir.h"
+#include "testing/status_matchers.h"
 
 namespace microrec::stream {
 namespace {
@@ -24,23 +26,10 @@ namespace fs = std::filesystem;
 class WalFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("microrec_wal_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()) +
-             "_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
-    fs::create_directories(dir_);
+    dir_ = scratch_.path();
   }
 
-  void TearDown() override {
-    resilience::ClearFaults();
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
+  void TearDown() override { resilience::ClearFaults(); }
 
   /// Replays the log into (payload, offset, seq, sealed) tuples.
   struct Replayed {
@@ -107,6 +96,7 @@ class WalFixture : public ::testing::Test {
     ASSERT_TRUE(out.good());
   }
 
+  testutil::ScratchDir scratch_{"microrec_wal"};
   std::string dir_;
 };
 
@@ -114,9 +104,9 @@ TEST_F(WalFixture, AppendReplayRoundTrip) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
   ASSERT_TRUE(writer.ok()) << writer.status().message();
   EXPECT_EQ((*writer)->open_seq(), 1u);
-  ASSERT_TRUE((*writer)->Append("alpha").ok());
-  ASSERT_TRUE((*writer)->Append("bravo!").ok());
-  ASSERT_TRUE((*writer)->Append("").ok());  // empty payloads are legal
+  ASSERT_OK((*writer)->Append("alpha"));
+  ASSERT_OK((*writer)->Append("bravo!"));
+  ASSERT_OK((*writer)->Append(""));  // empty payloads are legal
   EXPECT_EQ((*writer)->records_in_segment(), 3u);
 
   std::vector<Replayed> seen;
@@ -139,17 +129,17 @@ TEST_F(WalFixture, AppendReplayRoundTrip) {
 
 TEST_F(WalFixture, RotateSealsAndContinuesInNextSegment) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append("one").ok());
+  ASSERT_OK(writer);
+  ASSERT_OK((*writer)->Append("one"));
   Result<uint64_t> sealed = (*writer)->Rotate();
   ASSERT_TRUE(sealed.ok()) << sealed.status().message();
   EXPECT_EQ(*sealed, 1u);
   EXPECT_EQ((*writer)->open_seq(), 2u);
   EXPECT_EQ((*writer)->records_in_segment(), 0u);
-  ASSERT_TRUE((*writer)->Append("two").ok());
+  ASSERT_OK((*writer)->Append("two"));
 
   Result<std::vector<WalSegmentInfo>> segments = ListWalSegments(dir_);
-  ASSERT_TRUE(segments.ok());
+  ASSERT_OK(segments);
   ASSERT_EQ(segments->size(), 2u);
   EXPECT_EQ((*segments)[0].seq, 1u);
   EXPECT_TRUE((*segments)[0].sealed);
@@ -158,7 +148,7 @@ TEST_F(WalFixture, RotateSealsAndContinuesInNextSegment) {
 
   std::vector<Replayed> seen;
   Result<WalReplayStats> stats = Replay(&seen);
-  ASSERT_TRUE(stats.ok());
+  ASSERT_OK(stats);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].payload, "one");
   EXPECT_TRUE(seen[0].sealed);
@@ -169,8 +159,8 @@ TEST_F(WalFixture, RotateSealsAndContinuesInNextSegment) {
 TEST_F(WalFixture, ReopenSealsLeftoverOpenSegment) {
   {
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append("survivor").ok());
+    ASSERT_OK(writer);
+    ASSERT_OK((*writer)->Append("survivor"));
   }  // writer dies with segment 1 still open
   Result<std::unique_ptr<WalWriter>> reopened = WalWriter::Open(dir_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
@@ -179,7 +169,7 @@ TEST_F(WalFixture, ReopenSealsLeftoverOpenSegment) {
   EXPECT_FALSE(fs::exists(PathOf(1, /*sealed=*/false)));
 
   std::vector<Replayed> seen;
-  ASSERT_TRUE(Replay(&seen).ok());
+  ASSERT_OK(Replay(&seen));
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].payload, "survivor");
   EXPECT_TRUE(seen[0].sealed);
@@ -188,9 +178,9 @@ TEST_F(WalFixture, ReopenSealsLeftoverOpenSegment) {
 TEST_F(WalFixture, TornTailOfOpenSegmentIsTruncated) {
   {
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append("whole one").ok());
-    ASSERT_TRUE((*writer)->Append("whole two").ok());
+    ASSERT_OK(writer);
+    ASSERT_OK((*writer)->Append("whole one"));
+    ASSERT_OK((*writer)->Append("whole two"));
   }
   // Simulate a process killed mid-append: a partial header at the tail.
   AppendRawBytes(PathOf(1, /*sealed=*/false), "xy");
@@ -206,7 +196,7 @@ TEST_F(WalFixture, TornTailOfOpenSegmentIsTruncated) {
   // The truncation was physical: a second replay is already clean.
   seen.clear();
   stats = Replay(&seen);
-  ASSERT_TRUE(stats.ok());
+  ASSERT_OK(stats);
   EXPECT_FALSE(stats->tail_truncated);
   EXPECT_EQ(seen.size(), 2u);
 }
@@ -214,8 +204,8 @@ TEST_F(WalFixture, TornTailOfOpenSegmentIsTruncated) {
 TEST_F(WalFixture, TornPayloadOfOpenSegmentIsTruncated) {
   {
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append("kept").ok());
+    ASSERT_OK(writer);
+    ASSERT_OK((*writer)->Append("kept"));
   }
   // Full header promising 64 payload bytes, only 3 present.
   std::string torn = Frame("full payload that never finished").substr(0, 11);
@@ -233,10 +223,10 @@ TEST_F(WalFixture, TornPayloadOfOpenSegmentIsTruncated) {
 TEST_F(WalFixture, SealedSegmentCorruptionIsDataLossNamingOffset) {
   {
     Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append("clean prefix").ok());
-    ASSERT_TRUE((*writer)->Append("this record is damaged").ok());
-    ASSERT_TRUE((*writer)->Rotate().ok());
+    ASSERT_OK(writer);
+    ASSERT_OK((*writer)->Append("clean prefix"));
+    ASSERT_OK((*writer)->Append("this record is damaged"));
+    ASSERT_OK((*writer)->Rotate());
   }
   const std::string sealed_path = PathOf(1, /*sealed=*/true);
   // Flip a payload byte of the second record; its header starts after
@@ -306,23 +296,23 @@ TEST_F(WalFixture, OverCapLengthInSealedSegmentIsDataLoss) {
 
 TEST_F(WalFixture, PruneRemovesOnlySealedSegmentsThroughSeq) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append("a").ok());
-  ASSERT_TRUE((*writer)->Rotate().ok());  // seals 1
-  ASSERT_TRUE((*writer)->Append("b").ok());
-  ASSERT_TRUE((*writer)->Rotate().ok());  // seals 2
-  ASSERT_TRUE((*writer)->Append("c").ok());  // open segment 3
+  ASSERT_OK(writer);
+  ASSERT_OK((*writer)->Append("a"));
+  ASSERT_OK((*writer)->Rotate());  // seals 1
+  ASSERT_OK((*writer)->Append("b"));
+  ASSERT_OK((*writer)->Rotate());  // seals 2
+  ASSERT_OK((*writer)->Append("c"));  // open segment 3
 
   Result<size_t> pruned = PruneWalSegments(dir_, 1);
-  ASSERT_TRUE(pruned.ok());
+  ASSERT_OK(pruned);
   EXPECT_EQ(*pruned, 1u);
   // The open segment is never pruned, whatever through_seq says.
   pruned = PruneWalSegments(dir_, 99);
-  ASSERT_TRUE(pruned.ok());
+  ASSERT_OK(pruned);
   EXPECT_EQ(*pruned, 1u);
 
   Result<std::vector<WalSegmentInfo>> segments = ListWalSegments(dir_);
-  ASSERT_TRUE(segments.ok());
+  ASSERT_OK(segments);
   ASSERT_EQ(segments->size(), 1u);
   EXPECT_FALSE((*segments)[0].sealed);
   EXPECT_EQ((*segments)[0].seq, 3u);
@@ -350,7 +340,7 @@ TEST_F(WalFixture, OpenSegmentBelowSealedIsDataLoss) {
 TEST_F(WalFixture, EmptyDirectoryReplaysClean) {
   std::vector<Replayed> seen;
   Result<WalReplayStats> stats = Replay(&seen);
-  ASSERT_TRUE(stats.ok());
+  ASSERT_OK(stats);
   EXPECT_EQ(stats->records, 0u);
   EXPECT_EQ(stats->segments, 0u);
   EXPECT_TRUE(seen.empty());
@@ -358,9 +348,9 @@ TEST_F(WalFixture, EmptyDirectoryReplaysClean) {
 
 TEST_F(WalFixture, HandlerErrorStopsReplay) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append("first").ok());
-  ASSERT_TRUE((*writer)->Append("second").ok());
+  ASSERT_OK(writer);
+  ASSERT_OK((*writer)->Append("first"));
+  ASSERT_OK((*writer)->Append("second"));
   size_t delivered = 0;
   Result<WalReplayStats> stats =
       ReplayWal(dir_, [&delivered](std::string_view,
@@ -375,16 +365,16 @@ TEST_F(WalFixture, HandlerErrorStopsReplay) {
 
 TEST_F(WalFixture, AppendFaultLosesTheRecordWholly) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-  ASSERT_TRUE(writer.ok());
+  ASSERT_OK(writer);
   resilience::ArmFault(resilience::kSiteWalAppend,
                        resilience::FaultSpec{.every_nth = 2});
-  EXPECT_TRUE((*writer)->Append("kept one").ok());
+  EXPECT_OK((*writer)->Append("kept one"));
   EXPECT_FALSE((*writer)->Append("lost").ok());
-  EXPECT_TRUE((*writer)->Append("kept two").ok());
+  EXPECT_OK((*writer)->Append("kept two"));
   resilience::ClearFaults();
 
   std::vector<Replayed> seen;
-  ASSERT_TRUE(Replay(&seen).ok());
+  ASSERT_OK(Replay(&seen));
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].payload, "kept one");
   EXPECT_EQ(seen[1].payload, "kept two");
@@ -392,9 +382,9 @@ TEST_F(WalFixture, AppendFaultLosesTheRecordWholly) {
 
 TEST_F(WalFixture, ReplayFaultPropagatesThenClears) {
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(dir_);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append("a").ok());
-  ASSERT_TRUE((*writer)->Append("b").ok());
+  ASSERT_OK(writer);
+  ASSERT_OK((*writer)->Append("a"));
+  ASSERT_OK((*writer)->Append("b"));
   resilience::ArmFault(resilience::kSiteWalReplay,
                        resilience::FaultSpec{.every_nth = 2});
   std::vector<Replayed> seen;
@@ -403,7 +393,7 @@ TEST_F(WalFixture, ReplayFaultPropagatesThenClears) {
   resilience::ClearFaults();
   seen.clear();
   stats = Replay(&seen);
-  ASSERT_TRUE(stats.ok());
+  ASSERT_OK(stats);
   EXPECT_EQ(seen.size(), 2u);
 }
 
@@ -437,7 +427,7 @@ TEST(WalRecordTest, BatchRecordRoundTrips) {
 TEST(WalRecordTest, CheckpointRecordRoundTrips) {
   const std::string payload = EncodeCheckpointRecord({17, 4});
   Result<DecodedWalRecord> decoded = DecodeWalRecord(payload, 0, "<test>");
-  ASSERT_TRUE(decoded.ok());
+  ASSERT_OK(decoded);
   EXPECT_EQ(decoded->type, kWalRecordCheckpoint);
   EXPECT_EQ(decoded->mark.batch_id, 17u);
   EXPECT_EQ(decoded->mark.epoch, 4u);
