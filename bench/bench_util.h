@@ -17,11 +17,8 @@
 //                        (default 1 = the paper's sequential sampler;
 //                        > 1 is statistically equivalent, DESIGN.md §10)
 //   MICROREC_SAMPLER_KERNEL  Gibbs draw kernel for LDA/LLDA/BTM: "dense"
-//                        (default, bit-identical to the paper), "sparse"
-//                        (SparseLDA buckets) or "alias" (stale alias tables
-//                        with MH correction) — DESIGN.md §15
-//   MICROREC_ALIAS_STALE_BUDGET  stale-draw budget per word alias table
-//                        (alias kernel only, default 32)
+//                        (default, bit-identical to the paper) or "sparse"
+//                        (SparseLDA buckets) — DESIGN.md §15
 //   MICROREC_SNAPSHOT_CODEC  "raw" (default; microrec.snap/1) or
 //                        "compressed" (microrec.snap/2: varint/delta rows in
 //                        block-compressed sections — DESIGN.md §16)
@@ -41,6 +38,9 @@
 //                        (MICROREC_CHECKPOINT env works too)
 //   --fail-fast          abort a sweep on the first failed configuration
 //                        instead of isolating it
+// and --snapshot-dir=<dir> / --warm-start (the MICROREC_SNAPSHOT_DIR /
+// MICROREC_WARM_START knobs above). Any other argument, a repeated flag, or
+// a value flag written without `=` exits 1 with the usage line.
 // Fault injection is armed via MICROREC_FAULTS (see src/resilience/fault.h).
 #ifndef MICROREC_BENCH_BENCH_UTIL_H_
 #define MICROREC_BENCH_BENCH_UTIL_H_
@@ -59,6 +59,7 @@
 #include "rec/model_config.h"
 #include "synth/generator.h"
 #include "topic/sparse_kernel.h"
+#include "util/cli_flags.h"
 #include "util/string_util.h"
 
 namespace microrec::bench {
@@ -130,12 +131,9 @@ inline Workbench MakeWorkbench() {
       kernel != nullptr && kernel[0] != '\0' &&
       !topic::ParseSamplerKernel(kernel, &options.sampler_kernel)) {
     std::fprintf(stderr,
-                 "bad MICROREC_SAMPLER_KERNEL '%s' (dense|sparse|alias)\n",
-                 kernel);
+                 "bad MICROREC_SAMPLER_KERNEL '%s' (dense|sparse)\n", kernel);
     std::exit(1);
   }
-  options.alias_stale_budget =
-      static_cast<int>(EnvSize("MICROREC_ALIAS_STALE_BUDGET", 32));
   if (const char* codec = std::getenv("MICROREC_SNAPSHOT_CODEC");
       codec != nullptr && codec[0] != '\0') {
     if (Status st = snapshot::ParseSnapshotCodec(codec,
@@ -209,36 +207,54 @@ struct BenchIo {
   }
 };
 
-/// Parses the shared observability flags; unknown flags only warn so bench
-/// wrappers stay forward-compatible. --trace= starts tracing immediately.
+/// Parses the shared bench flags through util/cli_flags.h. An unknown,
+/// repeated or malformed flag (`--report path` without the `=`) or a stray
+/// positional argument prints the error and exits 1, so a typo never runs a
+/// bench that silently writes no report. --trace= starts tracing
+/// immediately.
 inline BenchIo ParseBenchArgs(int argc, char** argv) {
   BenchIo io;
   // Settle MICROREC_TRACE now: a bench that happens to create no spans
   // should still honour the variable and emit a (possibly empty) trace.
   obs::TracingEnabled();
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (StartsWith(arg, "--report=")) {
-      io.report_path = arg.substr(9);
-    } else if (StartsWith(arg, "--metrics=")) {
-      io.metrics_path = arg.substr(10);
-    } else if (StartsWith(arg, "--trace=")) {
-      obs::StartTracing(arg.substr(8));
-    } else if (StartsWith(arg, "--checkpoint=")) {
-      io.checkpoint_path = arg.substr(13);
-    } else if (arg == "--fail-fast") {
-      io.fail_fast = true;
-    } else if (StartsWith(arg, "--snapshot-dir=")) {
-      // Routed through the environment so MakeWorkbench (which may be
-      // called before or after flag parsing) sees one source of truth.
-      setenv("MICROREC_SNAPSHOT_DIR", arg.substr(15).c_str(), 1);
-    } else if (arg == "--warm-start") {
-      setenv("MICROREC_WARM_START", "1", 1);
-    } else {
-      std::fprintf(stderr, "warning: ignoring unknown flag %s\n",
-                   arg.c_str());
-    }
+  std::string trace_path;
+  std::string snapshot_dir;
+  bool warm_start = false;
+  FlagParser parser(std::string(argc > 0 ? argv[0] : "bench") +
+                    " [--report=<path>] [--metrics=<path>] [--trace=<path>]"
+                    " [--checkpoint=<path>] [--fail-fast]"
+                    " [--snapshot-dir=<dir>] [--warm-start]");
+  parser.AddString("report", &io.report_path,
+                   "structured JSON run report (MICROREC_REPORT)");
+  parser.AddString("metrics", &io.metrics_path, "raw metrics snapshot JSON");
+  parser.AddString("trace", &trace_path,
+                   "Chrome trace_event JSON (MICROREC_TRACE)");
+  parser.AddString("checkpoint", &io.checkpoint_path,
+                   "JSONL sweep checkpoint (MICROREC_CHECKPOINT)");
+  parser.AddBool("fail-fast", &io.fail_fast,
+                 "abort a sweep on the first failed configuration");
+  parser.AddString("snapshot-dir", &snapshot_dir,
+                   "persist trained engines here (MICROREC_SNAPSHOT_DIR)");
+  parser.AddBool("warm-start", &warm_start,
+                 "warm-start runs from their snapshots (MICROREC_WARM_START)");
+  Result<std::vector<std::string>> positional =
+      parser.Parse(std::vector<std::string>(argv + 1, argv + argc));
+  if (!positional.ok()) {
+    std::fprintf(stderr, "%s\n", positional.status().ToString().c_str());
+    std::exit(1);
   }
+  if (!positional->empty()) {
+    std::fprintf(stderr, "unexpected argument '%s' (usage: %s)\n",
+                 positional->front().c_str(), parser.usage().c_str());
+    std::exit(1);
+  }
+  if (!trace_path.empty()) obs::StartTracing(trace_path);
+  // Routed through the environment so MakeWorkbench (which may be called
+  // before or after flag parsing) sees one source of truth.
+  if (!snapshot_dir.empty()) {
+    setenv("MICROREC_SNAPSHOT_DIR", snapshot_dir.c_str(), 1);
+  }
+  if (warm_start) setenv("MICROREC_WARM_START", "1", 1);
   if (io.report_path.empty()) {
     const char* env = std::getenv("MICROREC_REPORT");
     if (env != nullptr) io.report_path = env;

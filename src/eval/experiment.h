@@ -52,12 +52,10 @@ struct RunOptions {
   /// statistical-equivalence band enforced by tests/topic/stat_equiv_test.
   size_t train_threads = 1;
   /// Gibbs draw kernel for LDA / LLDA / BTM (kDense scans all K topics per
-  /// token; kSparse / kAlias are the sub-linear kernels of
-  /// topic/sparse_kernel.h — statistically equivalent, not bit-identical,
-  /// to kDense; same equivalence band as train_threads > 1).
+  /// token; kSparse is the sub-linear kernel of topic/sparse_kernel.h —
+  /// statistically equivalent, not bit-identical, to kDense; same
+  /// equivalence band as train_threads > 1).
   topic::SamplerKernel sampler_kernel = topic::SamplerKernel::kDense;
-  /// Stale-draw budget per word-topic alias table (kAlias only).
-  int alias_stale_budget = 32;
   /// Section codec for saved snapshots: kRaw writes microrec.snap/1
   /// byte-for-byte; kCompressed writes the smaller, mmap-servable
   /// microrec.snap/2 (DESIGN.md §16). Loading accepts either.

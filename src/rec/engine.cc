@@ -755,7 +755,6 @@ class TopicEngine : public PersistentEngine {
     train.train_threads = ctx.train_threads;
     train.merge_every = ctx.train_merge_every;
     train.sampler_kernel = ctx.sampler_kernel;
-    train.alias_stale_budget = ctx.alias_stale_budget;
     switch (config_.kind) {
       case ModelKind::kLDA: {
         topic::LdaConfig lc;

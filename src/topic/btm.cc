@@ -71,8 +71,8 @@ Status Btm::Train(const DocSet& docs, Rng* rng) {
 
   if (config_.train.train_threads > 1) {
     MICROREC_RETURN_IF_ERROR(ParallelSweeps(rng, biterms, &z, &n_z, &n_kw));
-  } else if (config_.train.sampler_kernel != SamplerKernel::kDense) {
-    MICROREC_RETURN_IF_ERROR(KernelSweeps(rng, biterms, &z, &n_z, &n_kw));
+  } else if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
+    MICROREC_RETURN_IF_ERROR(SparseSweeps(rng, biterms, &z, &n_z, &n_kw));
   } else {
     std::vector<double> weights(K);
     obs::Histogram* sweep_hist = obs::MetricsRegistry::Global().GetHistogram(
@@ -147,39 +147,27 @@ Status Btm::ParallelSweeps(
   std::vector<uint8_t> shard_ok(driver.num_shards(), 1);
   std::vector<uint64_t> shard_degenerate(driver.num_shards(), 0);
 
-  if (config_.train.sampler_kernel != SamplerKernel::kDense) {
+  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
     const int merge_every = std::max(1, config_.train.merge_every);
     std::vector<double> shard_mass(driver.num_shards(), 0.0);
-    const auto run = [&](auto& sweepers) {
-      return RunParallelKernel(
-          "BTM", config_.train_iterations, config_.cancel, driver, sweep_hist,
-          &shard_mass, &shard_ok, &shard_degenerate,
-          [&](const ParallelGibbs::Shard& shard, int iter) {
-            auto& sweeper = *sweepers[shard.index];
-            if (iter % merge_every == 0) {
-              sweeper.Bind(shard.Counts(h_z), shard.Counts(h_kw));
-            }
-            SweepBitermRange(sweeper, shard.begin, shard.end, biterms,
-                             z->data(), shard.rng);
-            shard_mass[shard.index] = sweeper.last_mass();
-            shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
-            shard_degenerate[shard.index] += shard.rng->degenerate_draws();
-          });
-    };
-    if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-      std::vector<std::unique_ptr<BtmSparseSweeper>> sweepers;
-      for (size_t s = 0; s < driver.num_shards(); ++s) {
-        sweepers.push_back(
-            std::make_unique<BtmSparseSweeper>(K, V, alpha, beta));
-      }
-      return run(sweepers);
-    }
-    std::vector<std::unique_ptr<BtmAliasSweeper>> sweepers;
+    std::vector<std::unique_ptr<BtmSparseSweeper>> sweepers;
     for (size_t s = 0; s < driver.num_shards(); ++s) {
-      sweepers.push_back(std::make_unique<BtmAliasSweeper>(
-          K, V, alpha, beta, config_.train.alias_stale_budget));
+      sweepers.push_back(std::make_unique<BtmSparseSweeper>(K, V, alpha, beta));
     }
-    return run(sweepers);
+    return RunParallelKernel(
+        "BTM", config_.train_iterations, config_.cancel, driver, sweep_hist,
+        &shard_mass, &shard_ok, &shard_degenerate,
+        [&](const ParallelGibbs::Shard& shard, int iter) {
+          BtmSparseSweeper& sweeper = *sweepers[shard.index];
+          if (iter % merge_every == 0) {
+            sweeper.Bind(shard.Counts(h_z), shard.Counts(h_kw));
+          }
+          SweepBitermRange(sweeper, shard.begin, shard.end, biterms,
+                           z->data(), shard.rng);
+          shard_mass[shard.index] = sweeper.last_mass();
+          shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
+          shard_degenerate[shard.index] += shard.rng->degenerate_draws();
+        });
   }
 
   std::vector<std::vector<double>> scratch(driver.num_shards(),
@@ -234,7 +222,7 @@ Status Btm::ParallelSweeps(
                             scratch[0].data(), K);
 }
 
-Status Btm::KernelSweeps(
+Status Btm::SparseSweeps(
     Rng* rng, const std::vector<std::pair<TermId, TermId>>& biterms,
     std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
     std::vector<uint32_t>* n_kw) {
@@ -244,21 +232,11 @@ Status Btm::KernelSweeps(
 
   obs::Histogram* sweep_hist =
       obs::MetricsRegistry::Global().GetHistogram("topic.btm.sweep_seconds");
-  const auto run = [&](auto& sweeper) {
-    sweeper.Bind(n_z->data(), n_kw->data());
-    return RunSequentialKernel(
-        "BTM", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
-        rng, [&] {
-          SweepBitermRange(sweeper, 0, B, biterms, z->data(), rng);
-        });
-  };
-  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-    BtmSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
-    return run(sweeper);
-  }
-  BtmAliasSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta,
-                          config_.train.alias_stale_budget);
-  return run(sweeper);
+  BtmSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
+  sweeper.Bind(n_z->data(), n_kw->data());
+  return RunSequentialKernel(
+      "BTM", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
+      rng, [&] { SweepBitermRange(sweeper, 0, B, biterms, z->data(), rng); });
 }
 
 std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,

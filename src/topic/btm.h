@@ -74,9 +74,9 @@ class Btm : public TopicModel {
       std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
       std::vector<uint32_t>* n_kw);
 
-  /// Sequential sparse/alias-kernel sweeps (topic/sparse_kernel.h) when
-  /// train.sampler_kernel != kDense and train_threads <= 1.
-  Status KernelSweeps(Rng* rng,
+  /// Sequential sparse-kernel sweeps (topic/sparse_kernel.h) when
+  /// train.sampler_kernel == kSparse and train_threads <= 1.
+  Status SparseSweeps(Rng* rng,
                       const std::vector<std::pair<TermId, TermId>>& biterms,
                       std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
                       std::vector<uint32_t>* n_kw);

@@ -58,9 +58,9 @@ Status Lda::Train(const DocSet& docs, Rng* rng) {
   if (config_.train.train_threads > 1) {
     MICROREC_RETURN_IF_ERROR(
         ParallelSweeps(docs, rng, words, doc_of, &z, &n_dk, &n_kw, &n_k));
-  } else if (config_.train.sampler_kernel != SamplerKernel::kDense) {
+  } else if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
     MICROREC_RETURN_IF_ERROR(
-        KernelSweeps(docs, rng, words, doc_of, &z, &n_dk, &n_kw, &n_k));
+        SparseSweeps(docs, rng, words, doc_of, &z, &n_dk, &n_kw, &n_k));
   } else {
     std::vector<double> weights(K);
     obs::Histogram* sweep_hist = obs::MetricsRegistry::Global().GetHistogram(
@@ -138,42 +138,30 @@ Status Lda::ParallelSweeps(const DocSet& docs, Rng* rng,
   std::vector<uint8_t> shard_ok(driver.num_shards(), 1);
   std::vector<uint64_t> shard_degenerate(driver.num_shards(), 0);
 
-  if (config_.train.sampler_kernel != SamplerKernel::kDense) {
-    // Each shard owns a kernel instance, rebound to its refreshed count
+  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
+    // Each shard owns a sparse kernel, rebound to its refreshed count
     // replicas at every merge-block boundary.
     const int merge_every = std::max(1, config_.train.merge_every);
     std::vector<double> shard_mass(driver.num_shards(), 0.0);
-    const auto run = [&](auto& sweepers) {
-      return RunParallelKernel(
-          "LDA", config_.train_iterations, config_.cancel, driver, sweep_hist,
-          &shard_mass, &shard_ok, &shard_degenerate,
-          [&](const ParallelGibbs::Shard& shard, int iter) {
-            auto& sweeper = *sweepers[shard.index];
-            if (iter % merge_every == 0) {
-              sweeper.Bind(n_dk->data(), shard.Counts(h_kw),
-                           shard.Counts(h_k));
-            }
-            SweepDocRange(sweeper, shard.begin, shard.end, doc_begin, words,
-                          nullptr, z->data(), shard.rng);
-            shard_mass[shard.index] = sweeper.last_mass();
-            shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
-            shard_degenerate[shard.index] += shard.rng->degenerate_draws();
-          });
-    };
-    if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-      std::vector<std::unique_ptr<GibbsSparseSweeper>> sweepers;
-      for (size_t s = 0; s < driver.num_shards(); ++s) {
-        sweepers.push_back(
-            std::make_unique<GibbsSparseSweeper>(K, V, alpha, beta));
-      }
-      return run(sweepers);
-    }
-    std::vector<std::unique_ptr<GibbsAliasSweeper>> sweepers;
+    std::vector<std::unique_ptr<GibbsSparseSweeper>> sweepers;
     for (size_t s = 0; s < driver.num_shards(); ++s) {
-      sweepers.push_back(std::make_unique<GibbsAliasSweeper>(
-          K, V, alpha, beta, 0, config_.train.alias_stale_budget));
+      sweepers.push_back(
+          std::make_unique<GibbsSparseSweeper>(K, V, alpha, beta));
     }
-    return run(sweepers);
+    return RunParallelKernel(
+        "LDA", config_.train_iterations, config_.cancel, driver, sweep_hist,
+        &shard_mass, &shard_ok, &shard_degenerate,
+        [&](const ParallelGibbs::Shard& shard, int iter) {
+          GibbsSparseSweeper& sweeper = *sweepers[shard.index];
+          if (iter % merge_every == 0) {
+            sweeper.Bind(n_dk->data(), shard.Counts(h_kw), shard.Counts(h_k));
+          }
+          SweepDocRange(sweeper, shard.begin, shard.end, doc_begin, words,
+                        nullptr, z->data(), shard.rng);
+          shard_mass[shard.index] = sweeper.last_mass();
+          shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
+          shard_degenerate[shard.index] += shard.rng->degenerate_draws();
+        });
   }
 
   std::vector<std::vector<double>> scratch(driver.num_shards(),
@@ -229,7 +217,7 @@ Status Lda::ParallelSweeps(const DocSet& docs, Rng* rng,
                             scratch[0].data(), K);
 }
 
-Status Lda::KernelSweeps(const DocSet& docs, Rng* rng,
+Status Lda::SparseSweeps(const DocSet& docs, Rng* rng,
                          const std::vector<TermId>& words,
                          const std::vector<uint32_t>& doc_of,
                          std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,
@@ -245,22 +233,14 @@ Status Lda::KernelSweeps(const DocSet& docs, Rng* rng,
 
   obs::Histogram* sweep_hist =
       obs::MetricsRegistry::Global().GetHistogram("topic.lda.sweep_seconds");
-  const auto run = [&](auto& sweeper) {
-    sweeper.Bind(n_dk->data(), n_kw->data(), n_k->data());
-    return RunSequentialKernel(
-        "LDA", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
-        rng, [&] {
-          SweepDocRange(sweeper, 0, D, doc_begin, words, nullptr, z->data(),
-                        rng);
-        });
-  };
-  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-    GibbsSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
-    return run(sweeper);
-  }
-  GibbsAliasSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta, 0,
-                            config_.train.alias_stale_budget);
-  return run(sweeper);
+  GibbsSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
+  sweeper.Bind(n_dk->data(), n_kw->data(), n_k->data());
+  return RunSequentialKernel(
+      "LDA", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
+      rng, [&] {
+        SweepDocRange(sweeper, 0, D, doc_begin, words, nullptr, z->data(),
+                      rng);
+      });
 }
 
 std::vector<double> Lda::InferDocument(const std::vector<TermId>& words,

@@ -72,11 +72,10 @@ class Lda : public TopicModel {
                         std::vector<uint32_t>* n_kw,
                         std::vector<uint32_t>* n_k);
 
-  /// Sequential sweeps through a sparse or alias kernel
-  /// (topic/sparse_kernel.h) when train.sampler_kernel != kDense and
-  /// train_threads <= 1. Statistically equivalent to the dense loop but a
+  /// Sequential sweeps through the sparse kernel (topic/sparse_kernel.h)
+  /// when train.sampler_kernel == kSparse and train_threads <= 1. Statistically equivalent to the dense loop but a
   /// different draw sequence.
-  Status KernelSweeps(const DocSet& docs, Rng* rng,
+  Status SparseSweeps(const DocSet& docs, Rng* rng,
                       const std::vector<TermId>& words,
                       const std::vector<uint32_t>& doc_of,
                       std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,

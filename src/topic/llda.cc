@@ -73,8 +73,8 @@ Status Llda::Train(const DocSet& docs, Rng* rng) {
     MICROREC_RETURN_IF_ERROR(ParallelSweeps(docs, rng, words, doc_of,
                                             allowed, &z, &n_dk, &n_kw,
                                             &n_k));
-  } else if (config_.train.sampler_kernel != SamplerKernel::kDense) {
-    MICROREC_RETURN_IF_ERROR(KernelSweeps(docs, rng, words, doc_of, allowed,
+  } else if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
+    MICROREC_RETURN_IF_ERROR(SparseSweeps(docs, rng, words, doc_of, allowed,
                                           &z, &n_dk, &n_kw, &n_k));
   } else {
     std::vector<double> weights;
@@ -153,41 +153,28 @@ Status Llda::ParallelSweeps(
   std::vector<uint8_t> shard_ok(driver.num_shards(), 1);
   std::vector<uint64_t> shard_degenerate(driver.num_shards(), 0);
 
-  if (config_.train.sampler_kernel != SamplerKernel::kDense) {
+  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
     const int merge_every = std::max(1, config_.train.merge_every);
     std::vector<double> shard_mass(driver.num_shards(), 0.0);
-    const auto run = [&](auto& sweepers) {
-      return RunParallelKernel(
-          "LLDA", config_.train_iterations, config_.cancel, driver,
-          sweep_hist, &shard_mass, &shard_ok, &shard_degenerate,
-          [&](const ParallelGibbs::Shard& shard, int iter) {
-            auto& sweeper = *sweepers[shard.index];
-            if (iter % merge_every == 0) {
-              sweeper.Bind(n_dk->data(), shard.Counts(h_kw),
-                           shard.Counts(h_k));
-            }
-            SweepDocRange(sweeper, shard.begin, shard.end, doc_begin, words,
-                          &allowed, z->data(), shard.rng);
-            shard_mass[shard.index] = sweeper.last_mass();
-            shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
-            shard_degenerate[shard.index] += shard.rng->degenerate_draws();
-          });
-    };
-    if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-      std::vector<std::unique_ptr<GibbsSparseSweeper>> sweepers;
-      for (size_t s = 0; s < driver.num_shards(); ++s) {
-        sweepers.push_back(
-            std::make_unique<GibbsSparseSweeper>(K, V, alpha, beta));
-      }
-      return run(sweepers);
-    }
-    std::vector<std::unique_ptr<GibbsAliasSweeper>> sweepers;
+    std::vector<std::unique_ptr<GibbsSparseSweeper>> sweepers;
     for (size_t s = 0; s < driver.num_shards(); ++s) {
-      sweepers.push_back(std::make_unique<GibbsAliasSweeper>(
-          K, V, alpha, beta, config_.num_labels,
-          config_.train.alias_stale_budget));
+      sweepers.push_back(
+          std::make_unique<GibbsSparseSweeper>(K, V, alpha, beta));
     }
-    return run(sweepers);
+    return RunParallelKernel(
+        "LLDA", config_.train_iterations, config_.cancel, driver, sweep_hist,
+        &shard_mass, &shard_ok, &shard_degenerate,
+        [&](const ParallelGibbs::Shard& shard, int iter) {
+          GibbsSparseSweeper& sweeper = *sweepers[shard.index];
+          if (iter % merge_every == 0) {
+            sweeper.Bind(n_dk->data(), shard.Counts(h_kw), shard.Counts(h_k));
+          }
+          SweepDocRange(sweeper, shard.begin, shard.end, doc_begin, words,
+                        &allowed, z->data(), shard.rng);
+          shard_mass[shard.index] = sweeper.last_mass();
+          shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
+          shard_degenerate[shard.index] += shard.rng->degenerate_draws();
+        });
   }
 
   // Menus vary per document, so each shard resizes its own weights buffer.
@@ -248,7 +235,7 @@ Status Llda::ParallelSweeps(
       scratch[0].empty() ? nullptr : scratch[0].data(), scratch[0].size());
 }
 
-Status Llda::KernelSweeps(
+Status Llda::SparseSweeps(
     const DocSet& docs, Rng* rng, const std::vector<TermId>& words,
     const std::vector<uint32_t>& doc_of,
     const std::vector<std::vector<uint32_t>>& allowed,
@@ -264,23 +251,14 @@ Status Llda::KernelSweeps(
 
   obs::Histogram* sweep_hist =
       obs::MetricsRegistry::Global().GetHistogram("topic.llda.sweep_seconds");
-  const auto run = [&](auto& sweeper) {
-    sweeper.Bind(n_dk->data(), n_kw->data(), n_k->data());
-    return RunSequentialKernel(
-        "LLDA", sweeper, config_.train_iterations, config_.cancel,
-        sweep_hist, rng, [&] {
-          SweepDocRange(sweeper, 0, D, doc_begin, words, &allowed, z->data(),
-                        rng);
-        });
-  };
-  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-    GibbsSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
-    return run(sweeper);
-  }
-  GibbsAliasSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta,
-                            config_.num_labels,
-                            config_.train.alias_stale_budget);
-  return run(sweeper);
+  GibbsSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
+  sweeper.Bind(n_dk->data(), n_kw->data(), n_k->data());
+  return RunSequentialKernel(
+      "LLDA", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
+      rng, [&] {
+        SweepDocRange(sweeper, 0, D, doc_begin, words, &allowed, z->data(),
+                      rng);
+      });
 }
 
 std::vector<double> Llda::InferDocument(const std::vector<TermId>& words,

@@ -78,9 +78,9 @@ class Llda : public TopicModel {
                         std::vector<uint32_t>* n_kw,
                         std::vector<uint32_t>* n_k);
 
-  /// Sequential sparse/alias-kernel sweeps (topic/sparse_kernel.h) when
-  /// train.sampler_kernel != kDense and train_threads <= 1.
-  Status KernelSweeps(const DocSet& docs, Rng* rng,
+  /// Sequential sparse-kernel sweeps (topic/sparse_kernel.h) when
+  /// train.sampler_kernel == kSparse and train_threads <= 1.
+  Status SparseSweeps(const DocSet& docs, Rng* rng,
                       const std::vector<TermId>& words,
                       const std::vector<uint32_t>& doc_of,
                       const std::vector<std::vector<uint32_t>>& allowed,

@@ -47,10 +47,6 @@ enum class SamplerKernel {
   /// exact draws in O(nonzero topics) via smoothing/document/topic-word
   /// buckets over sorted count lists. See topic/sparse_kernel.h.
   kSparse = 1,
-  /// Stale per-word Walker alias tables with Metropolis-Hastings
-  /// correction (AliasLDA / LightLDA style): O(1) proposals, exact
-  /// stationary distribution. See topic/sparse_kernel.h.
-  kAlias = 2,
 };
 
 /// Training parallelism knob shared by the parametric models (LDA, LLDA,
@@ -67,19 +63,10 @@ struct TrainOptions {
   /// per-iteration by construction.
   int merge_every = 1;
   /// Per-token draw kernel. kDense preserves the historical draw sequence;
-  /// kSparse and kAlias are statistically equivalent (same stat-equiv
-  /// contract as train_threads, DESIGN.md §15) but not bit-identical.
-  /// Composes with train_threads: each shard runs its own kernel instance.
+  /// kSparse is statistically equivalent (same stat-equiv contract as
+  /// train_threads, DESIGN.md §15) but not bit-identical. Composes with
+  /// train_threads: each shard runs its own kernel instance.
   SamplerKernel sampler_kernel = SamplerKernel::kDense;
-  /// kAlias only: draws served from a word's stale alias table before it is
-  /// rebuilt from live counts. Smaller is fresher but rebuilds more often;
-  /// values < 1 are treated as 1. The default keeps a typical word's table
-  /// roughly one-to-two sweeps stale — larger budgets measurably slow
-  /// mixing (the MH correction keeps the stationary distribution exact but
-  /// rejects more as the proposal drifts), which shows up as worse
-  /// perplexity at a fixed iteration count well before the stat-equiv
-  /// bands catch it.
-  int alias_stale_budget = 32;
 };
 
 /// The shard/merge engine behind the parallel Train() paths. Single-use:

@@ -11,8 +11,6 @@ const char* SamplerKernelName(SamplerKernel kernel) {
       return "dense";
     case SamplerKernel::kSparse:
       return "sparse";
-    case SamplerKernel::kAlias:
-      return "alias";
   }
   return "dense";
 }
@@ -22,8 +20,6 @@ bool ParseSamplerKernel(std::string_view text, SamplerKernel* out) {
     *out = SamplerKernel::kDense;
   } else if (text == "sparse") {
     *out = SamplerKernel::kSparse;
-  } else if (text == "alias") {
-    *out = SamplerKernel::kAlias;
   } else {
     return false;
   }
@@ -192,7 +188,7 @@ uint32_t GibbsSparseSweeper::FallbackTopic() const {
   return cur_menu_ == nullptr ? 0 : (*cur_menu_)[0];
 }
 
-uint32_t GibbsSparseSweeper::DrawTopic(TermId w, uint32_t /*old*/, Rng* rng) {
+uint32_t GibbsSparseSweeper::DrawTopic(TermId w, Rng* rng) {
   const TopicCountList& wl = word_lists_[w];
   q_scratch_.resize(wl.size());
   double q_mass = 0.0;
@@ -279,180 +275,6 @@ void GibbsSparseSweeper::BucketMasses(TermId w, double* s, double* r,
 }
 
 // ---------------------------------------------------------------------------
-// GibbsAliasSweeper
-
-GibbsAliasSweeper::GibbsAliasSweeper(size_t num_topics, size_t vocab,
-                                     double alpha, double beta,
-                                     size_t latent_begin, int stale_budget)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
-      latent_begin_(latent_begin),
-      c_(num_topics, 0.0),
-      tables_(vocab, stale_budget) {}
-
-void GibbsAliasSweeper::Bind(uint32_t* n_dk, uint32_t* n_kw, uint32_t* n_k) {
-  n_dk_ = n_dk;
-  n_kw_ = n_kw;
-  n_k_ = n_k;
-  for (size_t k = 0; k < num_topics_; ++k) {
-    c_[k] = 1.0 / (static_cast<double>(n_k_[k]) + v_beta_);
-  }
-  // Stale tables are intentionally NOT invalidated: they remain valid
-  // proposals under the MH correction, which always evaluates p() against
-  // the freshly bound live counts.
-  doc_list_.Clear();
-  label_menu_.clear();
-}
-
-void GibbsAliasSweeper::BeginDoc(size_t doc,
-                                 const std::vector<uint32_t>* menu) {
-  cur_doc_ = doc;
-  doc_list_.Assign(n_dk_ + doc * num_topics_, num_topics_, 1);
-  label_menu_.clear();
-  if (menu != nullptr) {
-    for (uint32_t k : *menu) {
-      if (k >= latent_begin_) continue;
-      if (std::find(label_menu_.begin(), label_menu_.end(), k) !=
-          label_menu_.end()) {
-        continue;  // tolerate duplicate menu entries
-      }
-      label_menu_.push_back(k);
-    }
-  }
-}
-
-void GibbsAliasSweeper::RemoveToken(TermId w, uint32_t topic) {
-  counts_ok_ &= GuardedDecrement(&n_dk_[cur_doc_ * num_topics_ + topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w]);
-  counts_ok_ &= GuardedDecrement(&n_k_[topic]);
-  counts_ok_ &= doc_list_.Decrement(topic);
-  c_[topic] = 1.0 / (static_cast<double>(n_k_[topic]) + v_beta_);
-}
-
-void GibbsAliasSweeper::AddToken(TermId w, uint32_t topic) {
-  ++n_dk_[cur_doc_ * num_topics_ + topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w];
-  ++n_k_[topic];
-  doc_list_.Increment(topic);
-  c_[topic] = 1.0 / (static_cast<double>(n_k_[topic]) + v_beta_);
-}
-
-double GibbsAliasSweeper::TrueDensity(TermId w, uint32_t k) const {
-  // Off-menu topics have zero posterior mass in LLDA: latent topics are in
-  // every menu, label topics only when the document carries the label.
-  if (k < latent_begin_ &&
-      std::find(label_menu_.begin(), label_menu_.end(), k) ==
-          label_menu_.end()) {
-    return 0.0;
-  }
-  const double n_dk = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + k]);
-  const double n_kw =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
-  return (n_dk + alpha_) * (n_kw + beta_) * c_[k];
-}
-
-double GibbsAliasSweeper::ProposalDensity(TermId w, uint32_t k,
-                                          const AliasTable& table) const {
-  const double n_kw =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
-  const double word_part = (n_kw + beta_) * c_[k];
-  double g = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + k]) * word_part;
-  if (k < latent_begin_) {
-    if (std::find(label_menu_.begin(), label_menu_.end(), k) !=
-        label_menu_.end()) {
-      g += alpha_ * word_part;
-    }
-  } else if (!table.empty()) {
-    g += table.weight(k - latent_begin_);
-  }
-  return g;
-}
-
-uint32_t GibbsAliasSweeper::Propose(double exact_mass,
-                                    const AliasTable& table, Rng* rng) const {
-  const double total = exact_mass + table.total();
-  double u = rng->UniformDouble() * total;
-  if (u < exact_mass || table.empty()) {
-    double cum = 0.0;
-    size_t last_positive = SIZE_MAX;
-    for (size_t i = 0; i < exact_.size(); ++i) {
-      if (!(exact_[i].second > 0.0)) continue;
-      cum += exact_[i].second;
-      last_positive = i;
-      if (u < cum) return exact_[i].first;
-    }
-    if (last_positive != SIZE_MAX) return exact_[last_positive].first;
-    // exact_mass was all floating-point dust; fall through to the table.
-  }
-  return static_cast<uint32_t>(table.Sample(rng) + latent_begin_);
-}
-
-uint32_t GibbsAliasSweeper::DrawTopic(TermId w, uint32_t old, Rng* rng) {
-  // Live exact components: the document's topics and (LLDA) its labels'
-  // α-prior, both cheap because both lists are short. A label topic with
-  // n_dk > 0 contributes through both entries; ProposalDensity sums the
-  // same way, so g() matches the drawn mixture exactly.
-  exact_.clear();
-  double exact_mass = 0.0;
-  for (const auto& e : doc_list_) {
-    const double n_kw = static_cast<double>(
-        n_kw_[static_cast<size_t>(e.topic) * vocab_ + w]);
-    const double weight =
-        static_cast<double>(e.count) * (n_kw + beta_) * c_[e.topic];
-    exact_.emplace_back(e.topic, weight);
-    exact_mass += weight;
-  }
-  for (uint32_t k : label_menu_) {
-    const double n_kw =
-        static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
-    const double weight = alpha_ * (n_kw + beta_) * c_[k];
-    exact_.emplace_back(k, weight);
-    exact_mass += weight;
-  }
-
-  AliasTable& table = tables_.Get(w, [&](std::vector<double>* weights) {
-    weights->reserve(num_topics_ - latent_begin_);
-    for (size_t k = latent_begin_; k < num_topics_; ++k) {
-      const double n_kw =
-          static_cast<double>(n_kw_[k * vocab_ + w]);
-      weights->push_back(alpha_ * (n_kw + beta_) * c_[k]);
-    }
-  });
-
-  const double g_total = exact_mass + table.total();
-  last_mass_ = g_total;
-  if (!(g_total > 0.0) || !std::isfinite(g_total)) {
-    rng->DegenerateFallback(num_topics_);
-    return label_menu_.empty() ? static_cast<uint32_t>(latent_begin_)
-                               : label_menu_[0];
-  }
-
-  // Two independence-sampler MH steps from the just-removed assignment.
-  uint32_t cur = old;
-  for (int step = 0; step < 2; ++step) {
-    const uint32_t cand = Propose(exact_mass, table, rng);
-    if (cand == cur) continue;
-    const double p_cur = TrueDensity(w, cur);
-    const double g_cur = ProposalDensity(w, cur, table);
-    if (!(p_cur > 0.0) || !(g_cur > 0.0)) {
-      // The chain sits on a zero-mass state (e.g. the removed token was its
-      // topic's last): any proposed state is an improvement.
-      cur = cand;
-      continue;
-    }
-    const double p_cand = TrueDensity(w, cand);
-    const double g_cand = ProposalDensity(w, cand, table);
-    if (!(p_cand > 0.0) || !(g_cand > 0.0)) continue;
-    const double ratio = (p_cand * g_cur) / (p_cur * g_cand);
-    if (ratio >= 1.0 || rng->UniformDouble() < ratio) cur = cand;
-  }
-  return cur;
-}
-
-// ---------------------------------------------------------------------------
 // BtmSparseSweeper
 
 BtmSparseSweeper::BtmSparseSweeper(size_t num_topics, size_t vocab,
@@ -505,8 +327,7 @@ void BtmSparseSweeper::AddBiterm(TermId w1, TermId w2, uint32_t topic) {
   coef_sum_ += coef_[topic];
 }
 
-uint32_t BtmSparseSweeper::DrawTopic(TermId w1, TermId w2, uint32_t /*old*/,
-                                     Rng* rng) {
+uint32_t BtmSparseSweeper::DrawTopic(TermId w1, TermId w2, Rng* rng) {
   // p(k) ∝ coef_k (n1+β)(n2+β) = coef_k n1 (n2+β) + β coef_k n2 + β² coef_k
   // — the three buckets below. Exact for w1 == w2 as well:
   // n(n+β) + βn + β² = (n+β)².
@@ -595,110 +416,6 @@ void BtmSparseSweeper::BucketMasses(TermId w1, TermId w2, double* s,
     mass2 += beta_ * static_cast<double>(e.count) * coef_[e.topic];
   }
   *q2 = mass2;
-}
-
-// ---------------------------------------------------------------------------
-// BtmAliasSweeper
-
-BtmAliasSweeper::BtmAliasSweeper(size_t num_topics, size_t vocab,
-                                 double alpha, double beta, int stale_budget)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
-      coef_(num_topics, 0.0),
-      tables_(vocab, stale_budget) {}
-
-void BtmAliasSweeper::RefreshCoef(uint32_t k) {
-  const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;
-  coef_[k] = (static_cast<double>(n_z_[k]) + alpha_) / (denom * (denom + 1.0));
-}
-
-void BtmAliasSweeper::Bind(uint32_t* n_z, uint32_t* n_kw) {
-  n_z_ = n_z;
-  n_kw_ = n_kw;
-  for (size_t k = 0; k < num_topics_; ++k) {
-    RefreshCoef(static_cast<uint32_t>(k));
-  }
-}
-
-void BtmAliasSweeper::RemoveBiterm(TermId w1, TermId w2, uint32_t topic) {
-  counts_ok_ &= GuardedDecrement(&n_z_[topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w1]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w2]);
-  RefreshCoef(topic);
-}
-
-void BtmAliasSweeper::AddBiterm(TermId w1, TermId w2, uint32_t topic) {
-  ++n_z_[topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w1];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w2];
-  RefreshCoef(topic);
-}
-
-double BtmAliasSweeper::TrueDensity(TermId w1, TermId w2, uint32_t k) const {
-  const double n1 =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w1]);
-  const double n2 =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w2]);
-  return coef_[k] * (n1 + beta_) * (n2 + beta_);
-}
-
-uint32_t BtmAliasSweeper::DrawTopic(TermId w1, TermId w2, uint32_t old,
-                                    Rng* rng) {
-  // Both words' stale tables; for w1 == w2 both references name the same
-  // slot, which is fine — the mixture just doubles that table's mass, and
-  // the density query below sums both terms consistently.
-  const auto fill = [&](TermId w) {
-    return [this, w](std::vector<double>* weights) {
-      weights->reserve(num_topics_);
-      for (size_t k = 0; k < num_topics_; ++k) {
-        const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;
-        const double n_kw = static_cast<double>(n_kw_[k * vocab_ + w]);
-        weights->push_back((static_cast<double>(n_z_[k]) + alpha_) *
-                           (n_kw + beta_) / denom);
-      }
-    };
-  };
-  AliasTable& t1 = tables_.Get(w1, fill(w1));
-  AliasTable& t2 = tables_.Get(w2, fill(w2));
-
-  const double g_total = t1.total() + t2.total();
-  last_mass_ = g_total;
-  if (!(g_total > 0.0) || !std::isfinite(g_total)) {
-    rng->DegenerateFallback(num_topics_);
-    return 0;
-  }
-  const auto g_density = [&](uint32_t k) {
-    double g = 0.0;
-    if (!t1.empty()) g += t1.weight(k);
-    if (!t2.empty()) g += t2.weight(k);
-    return g;
-  };
-  const auto propose = [&]() -> uint32_t {
-    const double u = rng->UniformDouble() * g_total;
-    const AliasTable& t = (u < t1.total() && !t1.empty()) ? t1 : t2;
-    return static_cast<uint32_t>(t.Sample(rng));
-  };
-
-  uint32_t cur = old;
-  for (int step = 0; step < 2; ++step) {
-    const uint32_t cand = propose();
-    if (cand == cur) continue;
-    const double p_cur = TrueDensity(w1, w2, cur);
-    const double g_cur = g_density(cur);
-    if (!(p_cur > 0.0) || !(g_cur > 0.0)) {
-      cur = cand;
-      continue;
-    }
-    const double p_cand = TrueDensity(w1, w2, cand);
-    const double g_cand = g_density(cand);
-    if (!(p_cand > 0.0) || !(g_cand > 0.0)) continue;
-    const double ratio = (p_cand * g_cur) / (p_cur * g_cand);
-    if (ratio >= 1.0 || rng->UniformDouble() < ratio) cur = cand;
-  }
-  return cur;
 }
 
 }  // namespace microrec::topic

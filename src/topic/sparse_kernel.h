@@ -1,35 +1,25 @@
-// Sparse and alias-table per-token draw kernels for the collapsed Gibbs
-// samplers (ROADMAP item: make the *draw* fast, not just the outer loop).
+// Sparse per-token draw kernel for the collapsed Gibbs samplers (ROADMAP
+// item: make the *draw* fast, not just the outer loop), selected by
+// TrainOptions::sampler_kernel = kSparse (DESIGN.md §15).
 //
-// Two families, selected by TrainOptions::sampler_kernel (DESIGN.md §15):
+// SparseLDA (Yao, Mimno & McCallum 2009): the per-token mass
+//   p(k) ∝ (n_dk + α)(n_kw + β) / (n_k + Vβ)
+// splits into three buckets with c_k = 1/(n_k + Vβ):
+//   s = αβ Σ c_k            (smoothing-only; shared by every token)
+//   r = β  Σ n_dk c_k       (document; nonzero only on the doc's topics)
+//   q = Σ n_kw (n_dk+α) c_k (topic-word; nonzero only on the word's topics)
+// s and r are maintained incrementally; q is a scan of the word's
+// sorted-by-count topic list with the per-doc coefficient (n_dk+α)c_k
+// cached dense. Buckets are scanned largest-first (q, r, s), so a draw
+// costs O(|word topics| + |doc topics|) instead of O(K). Exact: the bucket
+// sum equals the dense mass, draw for draw. BtmSparseSweeper applies the
+// same decomposition to BTM's biterm mass.
 //
-//  - kSparse (SparseLDA; Yao, Mimno & McCallum 2009): the per-token mass
-//      p(k) ∝ (n_dk + α)(n_kw + β) / (n_k + Vβ)
-//    splits into three buckets with c_k = 1/(n_k + Vβ):
-//      s = αβ Σ c_k            (smoothing-only; shared by every token)
-//      r = β  Σ n_dk c_k       (document; nonzero only on the doc's topics)
-//      q = Σ n_kw (n_dk+α) c_k (topic-word; nonzero only on the word's
-//                               topics)
-//    s and r are maintained incrementally; q is a scan of the word's
-//    sorted-by-count topic list with the per-doc coefficient (n_dk+α)c_k
-//    cached dense. Buckets are scanned largest-first (q, r, s), so a draw
-//    costs O(|word topics| + |doc topics|) instead of O(K). Exact: the
-//    bucket sum equals the dense mass, draw for draw.
-//
-//  - kAlias (AliasLDA, Li et al. 2014 / LightLDA, Yuan et al. 2015): the
-//    α-smoothed topic-word part is served from a *stale* per-word Walker
-//    alias table (util/alias_table.h) rebuilt only every
-//    TrainOptions::alias_stale_budget draws; the document part is computed
-//    exactly. Staleness is corrected by Metropolis-Hastings: each token
-//    takes two independence-sampler steps whose acceptance ratio
-//    p(new)g(old) / (p(old)g(new)) uses live counts for p, so the
-//    stationary distribution is the exact posterior despite O(1) proposals.
-//
-// Both kernels compose with topic::ParallelGibbs: each shard owns a kernel
-// instance bound to its count replicas (Rebind at merge-block boundaries),
+// The kernel composes with topic::ParallelGibbs: each shard owns a kernel
+// instance bound to its count replicas (re-Bind at merge-block boundaries),
 // so determinism for fixed (seed, train_threads, merge_every,
-// sampler_kernel) is preserved. Neither kernel is bit-identical to kDense —
-// they consume different draw sequences — and both are covered by the same
+// sampler_kernel) is preserved. It is not bit-identical to kDense — it
+// consumes a different draw sequence — and is covered by the same
 // statistical-equivalence contract as parallel training
 // (tests/topic/stat_equiv_test.cc).
 #ifndef MICROREC_TOPIC_SPARSE_KERNEL_H_
@@ -44,12 +34,11 @@
 #include "topic/doc_set.h"
 #include "topic/parallel_gibbs.h"
 #include "topic/topic_model.h"
-#include "util/alias_table.h"
 #include "util/rng.h"
 
 namespace microrec::topic {
 
-/// "dense", "sparse" or "alias" — the CLI / env spelling.
+/// "dense" or "sparse" — the CLI / env spelling.
 const char* SamplerKernelName(SamplerKernel kernel);
 /// Parses the spelling above; false (out untouched) on anything else.
 bool ParseSamplerKernel(std::string_view text, SamplerKernel* out);
@@ -89,43 +78,6 @@ class TopicCountList {
   std::vector<Entry> entries_;
 };
 
-/// The per-word stale alias tables of a kAlias kernel: one lazily built
-/// slot per vocabulary word, rebuilt from live counts after
-/// `stale_budget` draws have been served. Slots are allocated up front so
-/// references stay valid across Get() calls on other words (BTM queries
-/// two words per biterm).
-class WordAliasTables {
- public:
-  WordAliasTables(size_t vocab, int stale_budget)
-      : slots_(vocab), budget_(stale_budget < 1 ? 1 : stale_budget) {}
-
-  /// Returns word `w`'s table, rebuilding it first when its budget is
-  /// spent. `fill(&weights)` must append the table's weight vector; a
-  /// degenerate fill leaves the table empty (callers treat an empty table
-  /// as zero proposal mass). Each call consumes one unit of budget.
-  template <typename FillFn>
-  AliasTable& Get(TermId w, const FillFn& fill) {
-    Slot& slot = slots_[w];
-    if (slot.remaining <= 0) {
-      scratch_.clear();
-      fill(&scratch_);
-      slot.table.Build(scratch_);
-      slot.remaining = budget_;
-    }
-    --slot.remaining;
-    return slot.table;
-  }
-
- private:
-  struct Slot {
-    AliasTable table;
-    int remaining = 0;
-  };
-  std::vector<Slot> slots_;
-  std::vector<double> scratch_;
-  int budget_;
-};
-
 /// SparseLDA kernel for LDA and LLDA. LDA passes a null menu to BeginDoc
 /// (all K topics allowed); LLDA passes the document's label+latent menu and
 /// the buckets restrict to it. Exact: equivalent in distribution to the
@@ -133,9 +85,9 @@ class WordAliasTables {
 ///
 /// Protocol per token i of the bound counts' document d:
 ///   BeginDoc(d, menu)   — once per document
-///   RemoveToken(w, z_i) → z_i' = DrawTopic(w, z_i, rng) → AddToken(w, z_i')
-/// Rebind() (or Bind) must follow any external mutation of the count
-/// arrays, e.g. a ParallelGibbs merge barrier.
+///   RemoveToken(w, z_i) → z_i' = DrawTopic(w, rng) → AddToken(w, z_i')
+/// Bind() must follow any external mutation of the count arrays, e.g. a
+/// ParallelGibbs merge barrier.
 class GibbsSparseSweeper {
  public:
   GibbsSparseSweeper(size_t num_topics, size_t vocab, double alpha,
@@ -147,10 +99,8 @@ class GibbsSparseSweeper {
 
   void BeginDoc(size_t doc, const std::vector<uint32_t>* menu);
   void RemoveToken(TermId w, uint32_t topic);
-  /// Draws the token's new topic. `old` is unused (the sparse draw is
-  /// exact); the parameter keeps the kernel interface uniform with the
-  /// MH-based alias sweeper.
-  uint32_t DrawTopic(TermId w, uint32_t old, Rng* rng);
+  /// Draws the token's new topic.
+  uint32_t DrawTopic(TermId w, Rng* rng);
   void AddToken(TermId w, uint32_t topic);
 
   /// False once any count decrement would have underflowed or a topic list
@@ -193,56 +143,6 @@ class GibbsSparseSweeper {
   double last_mass_ = 0.0;
 };
 
-/// Alias-table kernel for LDA (latent_begin = 0) and LLDA (latent_begin =
-/// num_labels; the stale table covers only the shared latent block, label
-/// topics are handled exactly since menus are small). See the file comment
-/// for the proposal / MH-correction scheme.
-class GibbsAliasSweeper {
- public:
-  GibbsAliasSweeper(size_t num_topics, size_t vocab, double alpha,
-                    double beta, size_t latent_begin, int stale_budget);
-
-  void Bind(uint32_t* n_dk, uint32_t* n_kw, uint32_t* n_k);
-  void BeginDoc(size_t doc, const std::vector<uint32_t>* menu);
-  void RemoveToken(TermId w, uint32_t topic);
-  /// Two MH steps from `old` (the just-removed assignment) against the
-  /// mixed exact-document / stale-word proposal.
-  uint32_t DrawTopic(TermId w, uint32_t old, Rng* rng);
-  void AddToken(TermId w, uint32_t topic);
-
-  bool counts_ok() const { return counts_ok_; }
-  double last_mass() const { return last_mass_; }
-
- private:
-  double TrueDensity(TermId w, uint32_t k) const;
-  double ProposalDensity(TermId w, uint32_t k, const AliasTable& table) const;
-  uint32_t Propose(double exact_mass, const AliasTable& table,
-                   Rng* rng) const;
-
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-  const size_t latent_begin_;
-
-  uint32_t* n_dk_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-  uint32_t* n_k_ = nullptr;
-
-  std::vector<double> c_;  // live 1 / (n_k + Vβ)
-  TopicCountList doc_list_;
-  WordAliasTables tables_;
-
-  size_t cur_doc_ = 0;
-  std::vector<uint32_t> label_menu_;  // current doc's label topics
-  // Exact proposal components of the current token (doc topics + labels).
-  mutable std::vector<std::pair<uint32_t, double>> exact_;
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
-};
-
 /// SparseLDA-style kernel for BTM. The biterm mass
 ///   p(k) ∝ (n_z+α)(n_kw1+β)(n_kw2+β) / ((2n_z+Vβ)(2n_z+Vβ+1))
 /// factors over coef_k = (n_z+α) / ((2n_z+Vβ)(2n_z+Vβ+1)) into
@@ -258,7 +158,7 @@ class BtmSparseSweeper {
 
   void Bind(uint32_t* n_z, uint32_t* n_kw);
   void RemoveBiterm(TermId w1, TermId w2, uint32_t topic);
-  uint32_t DrawTopic(TermId w1, TermId w2, uint32_t old, Rng* rng);
+  uint32_t DrawTopic(TermId w1, TermId w2, Rng* rng);
   void AddBiterm(TermId w1, TermId w2, uint32_t topic);
 
   bool counts_ok() const { return counts_ok_; }
@@ -291,46 +191,8 @@ class BtmSparseSweeper {
   double last_mass_ = 0.0;
 };
 
-/// Alias-table kernel for BTM: the proposal is the even mixture of the two
-/// words' stale tables, each built from
-///   q̃_w(k) = (n_z+α)(n_kw+β) / (2n_z+Vβ)
-/// over all K topics, with the same two-step MH correction against the
-/// live biterm density as the LDA alias sweeper.
-class BtmAliasSweeper {
- public:
-  BtmAliasSweeper(size_t num_topics, size_t vocab, double alpha, double beta,
-                  int stale_budget);
-
-  void Bind(uint32_t* n_z, uint32_t* n_kw);
-  void RemoveBiterm(TermId w1, TermId w2, uint32_t topic);
-  uint32_t DrawTopic(TermId w1, TermId w2, uint32_t old, Rng* rng);
-  void AddBiterm(TermId w1, TermId w2, uint32_t topic);
-
-  bool counts_ok() const { return counts_ok_; }
-  double last_mass() const { return last_mass_; }
-
- private:
-  double TrueDensity(TermId w1, TermId w2, uint32_t k) const;
-  void RefreshCoef(uint32_t k);
-
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
-  uint32_t* n_z_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-
-  std::vector<double> coef_;  // live, same factor as BtmSparseSweeper
-  WordAliasTables tables_;
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
-};
-
 /// Sweeps documents [doc_begin_idx, doc_end_idx) of the flattened corpus
-/// through `sweeper` (a GibbsSparseSweeper or GibbsAliasSweeper):
+/// through `sweeper` (a GibbsSparseSweeper):
 /// remove → draw → add per token. `menus` is null for LDA; for LLDA it
 /// holds each document's allowed-topic menu.
 template <typename Sweeper>
@@ -344,7 +206,7 @@ void SweepDocRange(Sweeper& sweeper, size_t doc_begin_idx, size_t doc_end_idx,
     for (size_t i = doc_begin[d]; i < doc_begin[d + 1]; ++i) {
       const TermId w = words[i];
       sweeper.RemoveToken(w, z[i]);
-      z[i] = sweeper.DrawTopic(w, z[i], rng);
+      z[i] = sweeper.DrawTopic(w, rng);
       sweeper.AddToken(w, z[i]);
     }
   }
@@ -358,7 +220,7 @@ void SweepBitermRange(Sweeper& sweeper, size_t begin, size_t end,
   for (size_t i = begin; i < end; ++i) {
     const auto [w1, w2] = biterms[i];
     sweeper.RemoveBiterm(w1, w2, z[i]);
-    z[i] = sweeper.DrawTopic(w1, w2, z[i], rng);
+    z[i] = sweeper.DrawTopic(w1, w2, rng);
     sweeper.AddBiterm(w1, w2, z[i]);
   }
 }

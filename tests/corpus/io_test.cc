@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 
 #include "synth/generator.h"
+#include "testing/scratch_dir.h"
 
 namespace microrec::corpus {
 namespace {
@@ -78,8 +78,8 @@ TEST(CorpusIoTest, FileRoundTripOfSyntheticCorpus) {
   auto dataset = synth::GenerateDataset(spec);
   ASSERT_TRUE(dataset.ok());
 
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "microrec_io_test").string();
+  testutil::ScratchDir scratch("microrec_io_test");
+  const std::string& dir = scratch.path();
   ASSERT_TRUE(SaveCorpus(dataset->corpus, dir).ok());
   Result<Corpus> loaded = LoadCorpus(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -89,7 +89,6 @@ TEST(CorpusIoTest, FileRoundTripOfSyntheticCorpus) {
   for (UserId u = 0; u < loaded->num_users(); u += 7) {
     EXPECT_EQ(loaded->PostsOf(u), dataset->corpus.PostsOf(u));
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CorpusIoTest, LoadMissingDirectoryFails) {

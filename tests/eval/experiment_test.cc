@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "eval/sweep.h"
 #include "resilience/fault.h"
 #include "synth/generator.h"
+#include "testing/scratch_dir.h"
 #include "testing/status_matchers.h"
 
 namespace microrec::eval {
@@ -345,12 +345,9 @@ TEST_F(RunnerFixture, SweepConfigDeadlineIsIsolated) {
 }
 
 TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "microrec_sweep_ckpt_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  testutil::ScratchDir scratch("microrec_sweep_ckpt_test");
   SweepOptions options;
-  options.checkpoint_path = (dir / "ckpt.jsonl").string();
+  options.checkpoint_path = scratch.File("ckpt.jsonl");
 
   Result<SweepResult> first =
       SweepConfigs(*runner_, ThreeTnConfigs(), Source::kR, options);
@@ -366,23 +363,18 @@ TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
     EXPECT_EQ(second->outcomes[i].result.users, first->outcomes[i].result.users);
     EXPECT_EQ(second->outcomes[i].result.aps, first->outcomes[i].result.aps);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RunnerFixture, SweepCheckpointRefusesForeignSource) {
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "microrec_sweep_ckpt_key_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  testutil::ScratchDir scratch("microrec_sweep_ckpt_key_test");
   SweepOptions options;
-  options.checkpoint_path = (dir / "ckpt.jsonl").string();
+  options.checkpoint_path = scratch.File("ckpt.jsonl");
 
   ASSERT_TRUE(
       SweepConfigs(*runner_, {SimpleTn()}, Source::kR, options).ok());
   Result<SweepResult> other =
       SweepConfigs(*runner_, {SimpleTn()}, Source::kT, options);
   EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ThinConfigsTest, KeepsEndpointsAndBounds) {

@@ -4,14 +4,13 @@
 // checkpointed sweep resumes to exactly the uninterrupted outcomes.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "corpus/io.h"
 #include "eval/experiment.h"
 #include "eval/sweep.h"
 #include "obs/metrics.h"
 #include "resilience/fault.h"
 #include "synth/generator.h"
+#include "testing/scratch_dir.h"
 
 namespace microrec {
 namespace {
@@ -159,12 +158,9 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
   ASSERT_TRUE(uninterrupted.ok());
   ASSERT_EQ(uninterrupted->outcomes.size(), grid.size());
 
-  std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                              "microrec_resilience_resume_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  testutil::ScratchDir scratch("microrec_resilience_resume_test");
   eval::SweepOptions options;
-  options.checkpoint_path = (dir / "ckpt.jsonl").string();
+  options.checkpoint_path = scratch.File("ckpt.jsonl");
 
   // "Kill" after two configurations: only the first half runs.
   Result<eval::SweepResult> partial = eval::SweepConfigs(
@@ -186,19 +182,15 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
               uninterrupted->outcomes[i].result.aps)
         << "config " << i;
   }
-  std::filesystem::remove_all(dir);
 }
 
 // Faulted sweeps are recorded in the checkpoint too (a deterministic seed
 // would fail identically on resume), and the resumed sweep reports them as
 // failures without re-running them.
 TEST_F(ResilienceFixture, FailedConfigsResumeAsFailures) {
-  std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                              "microrec_resilience_refail_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  testutil::ScratchDir scratch("microrec_resilience_refail_test");
   eval::SweepOptions options;
-  options.checkpoint_path = (dir / "ckpt.jsonl").string();
+  options.checkpoint_path = scratch.File("ckpt.jsonl");
 
   resilience::FaultSpec spec;
   spec.every_nth = 2;
@@ -218,16 +210,14 @@ TEST_F(ResilienceFixture, FailedConfigsResumeAsFailures) {
   EXPECT_EQ(second->failed(), 1u);
   EXPECT_FALSE(second->outcomes[1].ok());
   EXPECT_EQ(second->outcomes[1].status.code(), StatusCode::kInternal);
-  std::filesystem::remove_all(dir);
 }
 
 // MICROREC_FAULTS-style spec arming drives the same machinery the env var
 // uses, end to end through a corpus read.
 TEST_F(ResilienceFixture, SpecArmedIoFaultFailsCorpusRead) {
   ASSERT_TRUE(resilience::ArmFaultsFromSpec("corpus.io.read:1").ok());
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "microrec_resilience_io_test")
-                        .string();
+  testutil::ScratchDir scratch("microrec_resilience_io_test");
+  const std::string& dir = scratch.path();
   ASSERT_TRUE(corpus::SaveCorpus(dataset_->corpus, dir).ok());
   Result<corpus::Corpus> loaded = corpus::LoadCorpus(dir);
   resilience::ClearFaults();
@@ -237,7 +227,6 @@ TEST_F(ResilienceFixture, SpecArmedIoFaultFailsCorpusRead) {
             std::string::npos);
   // Disarmed, the same directory loads fine.
   EXPECT_TRUE(corpus::LoadCorpus(dir).ok());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "testing/scratch_dir.h"
 
 namespace microrec::obs {
 namespace {
@@ -47,7 +48,8 @@ bool BalancedObject(const std::string& text) {
 }
 
 TEST(FlightRecorderTest, StopWritesFinalSampleEvenOnShortRuns) {
-  const std::string path = ::testing::TempDir() + "/microrec_flight1.jsonl";
+  testutil::ScratchDir scratch("microrec_flight");
+  const std::string path = scratch.File("flight.jsonl");
   FlightRecorder::Options options;
   options.path = path;
   options.interval_seconds = 60.0;  // never fires on its own
@@ -68,7 +70,8 @@ TEST(FlightRecorderTest, StopWritesFinalSampleEvenOnShortRuns) {
 }
 
 TEST(FlightRecorderTest, SamplesAccumulateWhileRunning) {
-  const std::string path = ::testing::TempDir() + "/microrec_flight2.jsonl";
+  testutil::ScratchDir scratch("microrec_flight");
+  const std::string path = scratch.File("flight.jsonl");
   FlightRecorder::Options options;
   options.path = path;
   options.interval_seconds = 0.0;  // clamped up to the 10ms floor
@@ -96,7 +99,8 @@ TEST(FlightRecorderTest, UnopenablePathIsInert) {
 }
 
 TEST(FlightRecorderTest, TruncateReplacesPriorContents) {
-  const std::string path = ::testing::TempDir() + "/microrec_flight3.jsonl";
+  testutil::ScratchDir scratch("microrec_flight");
+  const std::string path = scratch.File("flight.jsonl");
   {
     std::ofstream out(path);
     out << "stale line\n";

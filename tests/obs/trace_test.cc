@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "testing/scratch_dir.h"
+
 namespace microrec::obs {
 namespace {
 
@@ -72,7 +74,8 @@ TEST(TraceTest, DisabledByDefaultSpansAreNoOps) {
 }
 
 TEST(TraceTest, StartStopWritesBalancedChromeTraceJson) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_test.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   EXPECT_TRUE(TracingEnabled());
   {
@@ -100,14 +103,16 @@ TEST(TraceTest, StartStopWritesBalancedChromeTraceJson) {
 }
 
 TEST(TraceTest, StartWhileActiveIsRejected) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_test2.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   EXPECT_FALSE(StartTracing(path + ".other"));
   StopTracing();
 }
 
 TEST(TraceTest, StopIsIdempotentAndDisablesRecording) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_test3.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   { MICROREC_SPAN("once"); }
   StopTracing();
@@ -119,7 +124,8 @@ TEST(TraceTest, StopIsIdempotentAndDisablesRecording) {
 }
 
 TEST(TraceTest, RequestIdTagsSpansAsArgs) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_rid.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   { TraceSpan span("scoped_query", 42); }
   { TraceSpan span("anonymous_query"); }  // rid 0 emits no args
@@ -131,7 +137,8 @@ TEST(TraceTest, RequestIdTagsSpansAsArgs) {
 }
 
 TEST(TraceTest, ConcurrentSpansEmitValidJson) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_mt.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 200;
@@ -180,7 +187,8 @@ TEST(TraceTest, ConcurrentSpansEmitValidJson) {
 }
 
 TEST(TraceTest, DynamicNamesAreJsonEscaped) {
-  const std::string path = ::testing::TempDir() + "/microrec_trace_test4.json";
+  testutil::ScratchDir scratch("microrec_trace");
+  const std::string path = scratch.File("trace.json");
   ASSERT_TRUE(StartTracing(path));
   { TraceSpan span("config:\"quoted\""); }
   StopTracing();

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "testing/scratch_dir.h"
+
 namespace microrec::resilience {
 namespace {
 
@@ -22,14 +24,6 @@ CheckpointRecord MakeRecord(const std::string& fingerprint) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "microrec_ckpt_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    path_ = (dir_ / "sweep.jsonl").string();
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::string FileContents() const {
     std::ifstream in(path_);
     std::ostringstream out;
@@ -37,8 +31,8 @@ class CheckpointTest : public ::testing::Test {
     return out.str();
   }
 
-  std::filesystem::path dir_;
-  std::string path_;
+  testutil::ScratchDir scratch_{"microrec_ckpt_test"};
+  std::string path_ = scratch_.File("sweep.jsonl");
 };
 
 TEST_F(CheckpointTest, OpenMissingFileIsEmpty) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "resilience/fault.h"
+#include "testing/scratch_dir.h"
 #include "util/status.h"
 
 namespace microrec::snapshot {
@@ -28,12 +29,6 @@ Writer TestWriter() {
   writer.AddSection("vocab", "payload-one");
   writer.AddSection("users", std::string("\0binary\xFFpayload", 15));
   return writer;
-}
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("microrec_snap_test_") + name))
-      .string();
 }
 
 TEST(SnapshotTest, SerializeParseRoundTrip) {
@@ -58,20 +53,19 @@ TEST(SnapshotTest, SerializeParseRoundTrip) {
 }
 
 TEST(SnapshotTest, CommitThenLoadThroughMissingDirectory) {
-  std::string dir = TempPath("commitdir");
-  std::filesystem::remove_all(dir);
-  std::string path = dir + "/nested/model.snap";
+  testutil::ScratchDir scratch("microrec_snap_test");
+  std::string path = scratch.File("commitdir/nested/model.snap");
   ASSERT_TRUE(TestWriter().Commit(path).ok());
   // Atomic write: no stray tmp file survives a successful commit.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   Result<File> file = File::Load(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->header().model, "LDA");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotTest, LoadMissingFileIsNotFound) {
-  Result<File> file = File::Load(TempPath("does_not_exist.snap"));
+  testutil::ScratchDir scratch("microrec_snap_test");
+  Result<File> file = File::Load(scratch.File("does_not_exist.snap"));
   EXPECT_EQ(file.status().code(), StatusCode::kNotFound);
 }
 
@@ -167,7 +161,8 @@ TEST(SnapshotTest, OpenSectionCarriesAbsoluteOffsets) {
 TEST(SnapshotTest, InjectedWriteFaultSurfaces) {
   resilience::ArmFault(resilience::kSiteSnapshotWrite,
                        resilience::FaultSpec{.every_nth = 1});
-  std::string path = TempPath("faulted.snap");
+  testutil::ScratchDir scratch("microrec_snap_test");
+  std::string path = scratch.File("faulted.snap");
   Status st = TestWriter().Commit(path);
   resilience::ClearFaults();
   EXPECT_FALSE(st.ok());
@@ -175,14 +170,14 @@ TEST(SnapshotTest, InjectedWriteFaultSurfaces) {
 }
 
 TEST(SnapshotTest, InjectedLoadFaultSurfaces) {
-  std::string path = TempPath("loadfault.snap");
+  testutil::ScratchDir scratch("microrec_snap_test");
+  std::string path = scratch.File("loadfault.snap");
   ASSERT_TRUE(TestWriter().Commit(path).ok());
   resilience::ArmFault(resilience::kSiteSnapshotLoad,
                        resilience::FaultSpec{.every_nth = 1});
   Result<File> file = File::Load(path);
   resilience::ClearFaults();
   EXPECT_FALSE(file.ok());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -120,14 +120,10 @@
 //                         not bit-identical (DESIGN.md §10). HDP/HLDA always
 //                         train sequentially.
 //   --sampler-kernel=<k>  Gibbs draw kernel for LDA/LLDA/BTM: dense
-//                         (default; the paper's O(K) scan, bit-identical),
-//                         sparse (SparseLDA bucket decomposition), or alias
-//                         (stale alias tables + Metropolis-Hastings
-//                         correction). sparse/alias are statistically
-//                         equivalent, not bit-identical (DESIGN.md §15).
-//   --alias-stale-budget=<n>  draws served by a stale word alias table
-//                         before it is rebuilt (alias kernel only,
-//                         default 32).
+//                         (default; the paper's O(K) scan, bit-identical)
+//                         or sparse (SparseLDA bucket decomposition;
+//                         statistically equivalent, not bit-identical,
+//                         DESIGN.md §15).
 //
 // Unknown flags and malformed `--key=value` pairs are rejected with the
 // offending token and a usage hint (util/cli_flags.h). Fault injection is
@@ -208,7 +204,7 @@ int Usage() {
       "  microrec generate <dir> [seed]\n"
       "  microrec stats <dir>\n"
       "  microrec evaluate [--threads=<n>] [--train-threads=<n>]"
-      " [--sampler-kernel=<dense|sparse|alias>] <dir>"
+      " [--sampler-kernel=<dense|sparse>] <dir>"
       " <TN|CN|TNG|CNG|LDA|LLDA|HDP|HLDA|BTM|PLSA>"
       " <R|T|E|F|C|TR|TE|RE|TC|RC|TF|RF|EF> [iter_scale]\n"
       "  microrec sweep [--checkpoint=<path>] [--fail-fast]"
@@ -383,8 +379,8 @@ Result<rec::ModelConfig> DefaultConfig(rec::ModelKind kind,
 }
 
 /// Serving flags shared by the train and recommend commands (`threads`
-/// also applies to evaluate; `train_threads` and the sampler-kernel pair
-/// to evaluate and sweep too).
+/// also applies to evaluate; `train_threads` and `sampler_kernel` to
+/// evaluate and sweep too).
 struct ServingFlags {
   std::string snapshot_dir = "snapshots";
   double deadline_seconds = 0.0;
@@ -393,7 +389,6 @@ struct ServingFlags {
   size_t threads = 1;
   size_t train_threads = 1;
   std::string sampler_kernel = "dense";
-  size_t alias_stale_budget = 32;
   size_t shards = 1;
   double hedge_after_ms = 0.0;
   std::string snapshot_codec = "raw";
@@ -408,16 +403,15 @@ Status ApplySnapshotFlags(const ServingFlags& flags,
   return rec::ParseServeMode(flags.serve_mode, &options->serve_mode);
 }
 
-/// Resolves --sampler-kernel / --alias-stale-budget into run options.
+/// Resolves --sampler-kernel into run options.
 Status ApplyKernelFlags(const ServingFlags& flags,
                         eval::RunOptions* options) {
   if (!topic::ParseSamplerKernel(flags.sampler_kernel,
                                  &options->sampler_kernel)) {
     return Status::InvalidArgument("bad --sampler-kernel '" +
                                    flags.sampler_kernel +
-                                   "' (dense|sparse|alias)");
+                                   "' (dense|sparse)");
   }
-  options->alias_stale_budget = static_cast<int>(flags.alias_stale_budget);
   return Status::OK();
 }
 
@@ -1185,11 +1179,7 @@ int main(int argc, char** argv) {
   parser.AddString("sampler-kernel", &serving.sampler_kernel,
                    "evaluate/sweep/train/recommend: Gibbs draw kernel for "
                    "LDA/LLDA/BTM: dense (default, bit-identical to the "
-                   "paper), sparse (SparseLDA buckets), or alias (stale "
-                   "alias tables with MH correction)");
-  parser.AddSize("alias-stale-budget", &serving.alias_stale_budget,
-                 "draws served by a stale word alias table before rebuild "
-                 "(--sampler-kernel=alias only, default 32)");
+                   "paper) or sparse (SparseLDA buckets)");
   parser.AddString("snapshot-codec", &serving.snapshot_codec,
                    "train: section codec for saved snapshots — raw "
                    "(default, microrec.snap/1) or compressed "
