@@ -33,8 +33,9 @@
 //   --trace=<path>    Chrome trace_event JSON (same as MICROREC_TRACE env)
 //
 // And the resilience flags (see DESIGN.md, "Resilience"):
-//   --checkpoint=<path>  stream sweep outcomes to a JSONL checkpoint and
-//                        resume past completed configurations on restart
+//   --checkpoint=<dir>   append each sweep outcome to a checkpoint log in
+//                        this directory (microrec.wal/1) and resume past
+//                        completed configurations on restart
 //                        (MICROREC_CHECKPOINT env works too)
 //   --fail-fast          abort a sweep on the first failed configuration
 //                        instead of isolating it
@@ -64,15 +65,30 @@
 
 namespace microrec::bench {
 
+/// Numeric knobs: unset or empty means `fallback`. A value that is not a
+/// whole number of the right kind (util/cli_flags.h's strict parsers) exits
+/// 1 naming the variable, instead of running with atof's silent 0.
 inline double EnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::atof(value);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  double parsed = 0.0;
+  if (!ParseDoubleStrict(value, &parsed)) {
+    std::fprintf(stderr, "bad %s '%s' (expected a number)\n", name, value);
+    std::exit(1);
+  }
+  return parsed;
 }
 
 inline size_t EnvSize(const char* name, size_t fallback) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback
-                          : static_cast<size_t>(std::atoll(value));
+  if (value == nullptr || value[0] == '\0') return fallback;
+  uint64_t parsed = 0;
+  if (!ParseUint64Strict(value, &parsed)) {
+    std::fprintf(stderr, "bad %s '%s' (expected a non-negative integer)\n",
+                 name, value);
+    std::exit(1);
+  }
+  return static_cast<size_t>(parsed);
 }
 
 inline bool EnvFlag(const char* name) {
@@ -102,6 +118,10 @@ struct Workbench {
 /// Builds the standard workbench. Prints a one-line summary to stdout.
 inline Workbench MakeWorkbench() {
   Workbench bench;
+  // Numeric knobs are read first so a malformed one fails before the corpus
+  // is generated.
+  const double iter_scale = EnvDouble("MICROREC_ITER_SCALE", 0.03);
+  const size_t train_threads = EnvSize("MICROREC_TRAIN_THREADS", 1);
   synth::DatasetSpec spec = synth::DatasetSpec::FromEnv();
   spec.seed = static_cast<uint64_t>(EnvDouble("MICROREC_SEED", 42));
   auto dataset = synth::GenerateDataset(spec);
@@ -125,8 +145,8 @@ inline Workbench MakeWorkbench() {
       bench.dataset->corpus, stop_basis, /*stop_top_k=*/100);
 
   eval::RunOptions options;
-  options.topic_iteration_scale = EnvDouble("MICROREC_ITER_SCALE", 0.03);
-  options.train_threads = EnvSize("MICROREC_TRAIN_THREADS", 1);
+  options.topic_iteration_scale = iter_scale;
+  options.train_threads = train_threads;
   if (const char* kernel = std::getenv("MICROREC_SAMPLER_KERNEL");
       kernel != nullptr && kernel[0] != '\0' &&
       !topic::ParseSamplerKernel(kernel, &options.sampler_kernel)) {
@@ -174,8 +194,7 @@ inline Workbench MakeWorkbench() {
           static_cast<int64_t>(bench.dataset->corpus.num_tweets()))
           .c_str(),
       bench.cohort->seekers.size(), bench.cohort->balanced.size(),
-      bench.cohort->producers.size(), bench.cohort->all.size(),
-      EnvDouble("MICROREC_ITER_SCALE", 0.03));
+      bench.cohort->producers.size(), bench.cohort->all.size(), iter_scale);
   return bench;
 }
 
@@ -192,7 +211,7 @@ struct BenchIo {
   /// Sweep options carrying the resilience flags; benches merge in their
   /// per-sweep configuration cap. A non-empty `tag` (e.g. "LDA-R") is
   /// appended to the checkpoint path so a bench looping over many
-  /// (model, source) sweeps writes one checkpoint file per sweep — the
+  /// (model, source) sweeps writes one checkpoint directory per sweep — the
   /// checkpoint key pins a single source.
   eval::SweepOptions SweepOptions(size_t max_configs,
                                   const std::string& tag = {}) const {
@@ -222,7 +241,7 @@ inline BenchIo ParseBenchArgs(int argc, char** argv) {
   bool warm_start = false;
   FlagParser parser(std::string(argc > 0 ? argv[0] : "bench") +
                     " [--report=<path>] [--metrics=<path>] [--trace=<path>]"
-                    " [--checkpoint=<path>] [--fail-fast]"
+                    " [--checkpoint=<dir>] [--fail-fast]"
                     " [--snapshot-dir=<dir>] [--warm-start]");
   parser.AddString("report", &io.report_path,
                    "structured JSON run report (MICROREC_REPORT)");
@@ -230,7 +249,7 @@ inline BenchIo ParseBenchArgs(int argc, char** argv) {
   parser.AddString("trace", &trace_path,
                    "Chrome trace_event JSON (MICROREC_TRACE)");
   parser.AddString("checkpoint", &io.checkpoint_path,
-                   "JSONL sweep checkpoint (MICROREC_CHECKPOINT)");
+                   "sweep checkpoint log directory (MICROREC_CHECKPOINT)");
   parser.AddBool("fail-fast", &io.fail_fast,
                  "abort a sweep on the first failed configuration");
   parser.AddString("snapshot-dir", &snapshot_dir,

@@ -1,13 +1,14 @@
 #include "eval/sweep.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "resilience/checkpoint.h"
 #include "resilience/fault.h"
+#include "snapshot/format.h"
 
 namespace microrec::eval {
 
@@ -60,34 +61,48 @@ SweepResult::TimeStats TimeStatsOf(const std::vector<ConfigOutcome>& outcomes,
   return stats;
 }
 
-resilience::CheckpointRecord RecordOf(const rec::ModelConfig& config,
-                                      const ConfigOutcome& outcome) {
-  resilience::CheckpointRecord record;
-  record.fingerprint = config.Fingerprint();
-  record.config = config.ToString();
-  record.code = outcome.status.code();
-  record.error = std::string(outcome.status.message());
-  record.users.assign(outcome.result.users.begin(),
-                      outcome.result.users.end());
-  record.aps = outcome.result.aps;
-  record.ttime_seconds = outcome.result.ttime_seconds;
-  record.etime_seconds = outcome.result.etime_seconds;
-  return record;
+constexpr char kCheckpointSchema[] = "microrec.sweep_ckpt/2";
+
+std::string EncodeHeader(const std::string& key) {
+  snapshot::Encoder enc;
+  enc.PutString(kCheckpointSchema);
+  enc.PutString(key);
+  return enc.Release();
 }
 
-ConfigOutcome OutcomeOf(const rec::ModelConfig& config,
-                        const resilience::CheckpointRecord& record) {
-  ConfigOutcome outcome;
-  outcome.config = config;
-  outcome.status = Status::FromCode(record.code, record.error);
-  outcome.result.users.reserve(record.users.size());
-  for (uint64_t u : record.users) {
-    outcome.result.users.push_back(static_cast<corpus::UserId>(u));
+std::string EncodeOutcome(const ConfigOutcome& outcome) {
+  snapshot::Encoder enc;
+  enc.PutString(outcome.config.Fingerprint());
+  enc.PutString(StatusCodeName(outcome.status.code()));
+  enc.PutString(outcome.status.message());
+  enc.PutVecU32(outcome.result.users);
+  enc.PutVecF64(outcome.result.aps);
+  enc.PutF64(outcome.result.ttime_seconds);
+  enc.PutF64(outcome.result.etime_seconds);
+  return enc.Release();
+}
+
+/// Decodes an outcome record into `*fingerprint` and `*outcome` (whose
+/// config stays default: the log keys outcomes by fingerprint only).
+Status DecodeOutcome(snapshot::Decoder* dec, std::string* fingerprint,
+                     ConfigOutcome* outcome) {
+  std::string code_name, message;
+  MICROREC_RETURN_IF_ERROR(dec->ReadString(fingerprint));
+  MICROREC_RETURN_IF_ERROR(dec->ReadString(&code_name));
+  MICROREC_RETURN_IF_ERROR(dec->ReadString(&message));
+  MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&outcome->result.users));
+  MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&outcome->result.aps));
+  MICROREC_RETURN_IF_ERROR(dec->ReadF64(&outcome->result.ttime_seconds));
+  MICROREC_RETURN_IF_ERROR(dec->ReadF64(&outcome->result.etime_seconds));
+  MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
+  if (outcome->result.users.size() != outcome->result.aps.size()) {
+    return Status::InvalidArgument("users/aps length mismatch for " +
+                                   *fingerprint);
   }
-  outcome.result.aps = record.aps;
-  outcome.result.ttime_seconds = record.ttime_seconds;
-  outcome.result.etime_seconds = record.etime_seconds;
-  return outcome;
+  Result<StatusCode> code = ParseStatusCode(code_name);
+  if (!code.ok()) return code.status();
+  outcome->status = Status::FromCode(*code, std::move(message));
+  return Status::OK();
 }
 
 }  // namespace
@@ -115,6 +130,98 @@ const ConfigOutcome* SweepResult::Best(
   return best;
 }
 
+Result<SweepCheckpoint> SweepCheckpoint::Open(std::string dir,
+                                              std::string key) {
+  SweepCheckpoint checkpoint;
+  checkpoint.dir_ = std::move(dir);
+  checkpoint.key_ = std::move(key);
+  std::error_code ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(checkpoint.dir_, ec);
+  if (status.type() == std::filesystem::file_type::not_found) {
+    return checkpoint;
+  }
+  if (ec) {
+    return Status::Internal("checkpoint: cannot stat " + checkpoint.dir_ +
+                            ": " + ec.message());
+  }
+  if (!std::filesystem::is_directory(status)) {
+    return Status::FailedPrecondition(
+        "checkpoint path " + checkpoint.dir_ +
+        " is not a directory (a checkpoint is a microrec.wal/1 log "
+        "directory; older builds wrote microrec.sweep_ckpt/1 files); it is "
+        "left untouched, pass a new path");
+  }
+  auto restore = [&checkpoint](std::string_view payload,
+                               const snapshot::WalRecordRef& ref) -> Status {
+    auto where = [&ref] {
+      return *ref.file + ":offset " + std::to_string(ref.offset);
+    };
+    snapshot::Decoder dec(payload, ref.offset + 8);
+    if (!checkpoint.has_header_) {
+      std::string schema, key;
+      if (!dec.ReadString(&schema).ok() || schema != kCheckpointSchema ||
+          !dec.ReadString(&key).ok() || !dec.ExpectEnd().ok()) {
+        return Status::InvalidArgument(
+            checkpoint.dir_ + " is not a " + kCheckpointSchema +
+            " log: the first record (" + where() + ") is not its header");
+      }
+      if (key != checkpoint.key_) {
+        return Status::FailedPrecondition(
+            "checkpoint key mismatch: " + checkpoint.dir_ + " has \"" + key +
+            "\", sweep expects \"" + checkpoint.key_ + '"');
+      }
+      checkpoint.has_header_ = true;
+      return Status::OK();
+    }
+    std::string fingerprint;
+    ConfigOutcome outcome;
+    Status decoded = DecodeOutcome(&dec, &fingerprint, &outcome);
+    if (!decoded.ok()) {
+      return Status::DataLoss(where() + ": " +
+                              std::string(decoded.message()));
+    }
+    checkpoint.outcomes_[fingerprint] = std::move(outcome);
+    return Status::OK();
+  };
+  Result<snapshot::WalReplayStats> replayed =
+      snapshot::ReplayWal(checkpoint.dir_, restore);
+  if (!replayed.ok()) return replayed.status();
+  obs::MetricsRegistry::Global()
+      .GetCounter("resilience.checkpoint.loaded_records")
+      ->Add(checkpoint.outcomes_.size());
+  return checkpoint;
+}
+
+std::optional<ConfigOutcome> SweepCheckpoint::Find(
+    const rec::ModelConfig& config) const {
+  auto it = outcomes_.find(config.Fingerprint());
+  if (it == outcomes_.end()) return std::nullopt;
+  ConfigOutcome outcome = it->second;
+  outcome.config = config;
+  return outcome;
+}
+
+Status SweepCheckpoint::Append(const ConfigOutcome& outcome) {
+  MICROREC_FAULT_POINT(resilience::kSiteCheckpointWrite);
+  if (writer_ == nullptr) {
+    Result<std::unique_ptr<snapshot::WalWriter>> writer =
+        snapshot::WalWriter::Open(dir_);
+    if (!writer.ok()) return writer.status();
+    writer_ = std::move(*writer);
+  }
+  if (!has_header_) {
+    MICROREC_RETURN_IF_ERROR(writer_->Append(EncodeHeader(key_)));
+    has_header_ = true;
+  }
+  MICROREC_RETURN_IF_ERROR(writer_->Append(EncodeOutcome(outcome)));
+  outcomes_[outcome.config.Fingerprint()] = outcome;
+  obs::MetricsRegistry::Global()
+      .GetCounter("resilience.checkpoint.appends")
+      ->Increment();
+  return Status::OK();
+}
+
 std::string SweepCheckpointKey(const ExperimentRunner& runner,
                                corpus::Source source) {
   std::string key = "source=";
@@ -137,11 +244,10 @@ Result<SweepResult> SweepConfigs(
     valid = ThinConfigs(std::move(valid), options.max_configs);
   }
 
-  std::optional<resilience::SweepCheckpoint> checkpoint;
+  std::optional<SweepCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
-    Result<resilience::SweepCheckpoint> opened =
-        resilience::SweepCheckpoint::Open(options.checkpoint_path,
-                                          SweepCheckpointKey(runner, source));
+    Result<SweepCheckpoint> opened = SweepCheckpoint::Open(
+        options.checkpoint_path, SweepCheckpointKey(runner, source));
     if (!opened.ok()) return opened.status();
     checkpoint = std::move(*opened);
   }
@@ -157,12 +263,9 @@ Result<SweepResult> SweepConfigs(
       return Status::Aborted("sweep cancelled before " + config.ToString());
     }
     if (checkpoint.has_value()) {
-      const resilience::CheckpointRecord* record =
-          checkpoint->Find(config.Fingerprint());
-      if (record != nullptr) {
-        ConfigOutcome outcome = OutcomeOf(config, *record);
-        if (!outcome.ok()) configs_failed->Increment();
-        sweep.outcomes.push_back(std::move(outcome));
+      if (std::optional<ConfigOutcome> restored = checkpoint->Find(config)) {
+        if (!restored->ok()) configs_failed->Increment();
+        sweep.outcomes.push_back(std::move(*restored));
         ++sweep.resumed;
         configs_resumed->Increment();
         continue;
@@ -216,7 +319,7 @@ Result<SweepResult> SweepConfigs(
       configs_failed->Increment();
     }
     if (checkpoint.has_value()) {
-      MICROREC_RETURN_IF_ERROR(checkpoint->Append(RecordOf(config, outcome)));
+      MICROREC_RETURN_IF_ERROR(checkpoint->Append(outcome));
     }
     sweep.outcomes.push_back(std::move(outcome));
   }

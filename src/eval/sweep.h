@@ -7,18 +7,22 @@
 // (injected fault, non-finite posterior, deadline, cancellation) is recorded
 // with its Status and excluded from every aggregate instead of aborting the
 // remaining grid. `SweepOptions::fail_fast` restores abort-on-first-error.
-// With `SweepOptions::checkpoint_path` set, completed outcomes stream to a
-// JSONL checkpoint (resilience::SweepCheckpoint) and a restarted sweep skips
-// configurations already on disk.
+// With `SweepOptions::checkpoint_path` set, each completed outcome is
+// appended once to a microrec.wal/1 log in that directory (SweepCheckpoint)
+// and a restarted sweep skips configurations already on disk.
 #ifndef MICROREC_EVAL_SWEEP_H_
 #define MICROREC_EVAL_SWEEP_H_
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "eval/experiment.h"
 #include "resilience/deadline.h"
 #include "resilience/retry.h"
+#include "snapshot/wal.h"
 
 namespace microrec::eval {
 
@@ -75,8 +79,9 @@ struct SweepOptions {
   /// Abort the whole sweep on the first failed configuration (the
   /// pre-resilience behavior) instead of isolating it.
   bool fail_fast = false;
-  /// When non-empty, outcomes stream to this JSONL checkpoint and
-  /// already-checkpointed configurations are skipped on re-run.
+  /// When non-empty, outcomes are appended to the checkpoint log in this
+  /// directory and already-checkpointed configurations are skipped on
+  /// re-run.
   std::string checkpoint_path;
   /// Per-configuration wall-clock budget; 0 disables the deadline.
   double config_timeout_seconds = 0.0;
@@ -85,6 +90,43 @@ struct SweepOptions {
   /// Optional external cancellation (checked between configurations and
   /// between Gibbs sweeps / scored users inside a run).
   const resilience::CancelToken* cancel = nullptr;
+};
+
+/// The durable outcomes of one sweep: a microrec.wal/1 log (snapshot/wal.h)
+/// in directory `dir`. The first record is the header (schema
+/// `microrec.sweep_ckpt/2` and the sweep key); every later record is one
+/// ConfigOutcome, written once, and on replay the last record for a
+/// configuration fingerprint wins. Torn tails and corruption follow the
+/// WAL's rules: a torn open segment restores the records before the tear, a
+/// damaged sealed segment is DataLoss naming file:offset. Failed outcomes
+/// are recorded too; with a deterministic seed they would fail identically
+/// on resume.
+class SweepCheckpoint {
+ public:
+  /// Replays the log in `dir`. A missing `dir` is an empty checkpoint and
+  /// nothing is created until the first Append. A regular file at `dir`
+  /// (such as an older build's JSONL checkpoint) is FailedPrecondition and
+  /// is left untouched; a log whose first record is not a sweep header is
+  /// InvalidArgument; a header with a different `key` is FailedPrecondition.
+  static Result<SweepCheckpoint> Open(std::string dir, std::string key);
+
+  /// The last recorded outcome of `config`, or nullopt.
+  std::optional<ConfigOutcome> Find(const rec::ModelConfig& config) const;
+
+  /// Appends one outcome record, creating `dir` and writing the header
+  /// first when the log is new. Fault site: `checkpoint.write`, which fires
+  /// before any byte is written.
+  Status Append(const ConfigOutcome& outcome);
+
+  /// Distinct configurations recorded.
+  size_t size() const { return outcomes_.size(); }
+
+ private:
+  std::string dir_;
+  std::string key_;
+  bool has_header_ = false;
+  std::map<std::string, ConfigOutcome> outcomes_;  // by config fingerprint
+  std::unique_ptr<snapshot::WalWriter> writer_;    // opened on first Append
 };
 
 /// Runs every valid configuration in `configs` on `source`. Configurations

@@ -11,8 +11,8 @@
 // load run can be replayed after the fact (`jq` straight over the file).
 // The final sample is always written by Stop()/the destructor, so even a
 // run shorter than one interval leaves a record. Lines are appended with a
-// single fwrite per sample; torn tails from a crash mid-write are tolerated
-// by readers the same way sweep checkpoints are (resilience/checkpoint.h).
+// single fwrite per sample; a reader should drop a torn last line left by a
+// crash mid-write.
 #ifndef MICROREC_OBS_FLIGHT_RECORDER_H_
 #define MICROREC_OBS_FLIGHT_RECORDER_H_
 

@@ -1,4 +1,4 @@
-#include "stream/wal.h"
+#include "snapshot/wal.h"
 
 #include <cerrno>
 #include <cstring>
@@ -11,7 +11,7 @@
 #include "snapshot/format.h"
 #include "util/fs.h"
 
-namespace microrec::stream {
+namespace microrec::snapshot {
 namespace {
 
 namespace fs = std::filesystem;
@@ -354,4 +354,4 @@ Result<uint64_t> WalWriter::Rotate() {
   return sealed_seq;
 }
 
-}  // namespace microrec::stream
+}  // namespace microrec::snapshot

@@ -29,8 +29,8 @@
 //
 // Appends fflush() every record: the bytes survive process death (the
 // crash model the kill-anywhere gate arms), though not OS/power loss.
-#ifndef MICROREC_STREAM_WAL_H_
-#define MICROREC_STREAM_WAL_H_
+#ifndef MICROREC_SNAPSHOT_WAL_H_
+#define MICROREC_SNAPSHOT_WAL_H_
 
 #include <cstdint>
 #include <cstdio>
@@ -42,7 +42,7 @@
 
 #include "util/status.h"
 
-namespace microrec::stream {
+namespace microrec::snapshot {
 
 /// The segment magic; the trailing "/1\n" is the format version.
 inline constexpr char kWalMagic[] = "microrec.wal/1\n";
@@ -135,6 +135,6 @@ class WalWriter {
   uint64_t segment_records_ = 0;
 };
 
-}  // namespace microrec::stream
+}  // namespace microrec::snapshot
 
-#endif  // MICROREC_STREAM_WAL_H_
+#endif  // MICROREC_SNAPSHOT_WAL_H_

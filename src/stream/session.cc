@@ -236,7 +236,7 @@ Status StreamSession::Recover(const StreamCut& cut) {
   // 4. Replay WAL batches past the snapshot; records at or below it are
   //    the idempotence path (their segments just weren't pruned yet).
   auto handler = [this](std::string_view payload,
-                        const WalRecordRef& ref) -> Status {
+                        const snapshot::WalRecordRef& ref) -> Status {
     Result<DecodedWalRecord> decoded =
         DecodeWalRecord(payload, ref.offset + 8, *ref.file);
     if (!decoded.ok()) return decoded.status();
@@ -254,11 +254,13 @@ Status StreamSession::Recover(const StreamCut& cut) {
     }
     return Apply(decoded->batch);
   };
-  Result<WalReplayStats> replay = ReplayWal(wal_dir_, handler);
+  Result<snapshot::WalReplayStats> replay =
+      snapshot::ReplayWal(wal_dir_, handler);
   if (!replay.ok()) return replay.status();
 
   // 5. Appends resume in a fresh segment above everything replayed.
-  Result<std::unique_ptr<WalWriter>> wal = WalWriter::Open(wal_dir_);
+  Result<std::unique_ptr<snapshot::WalWriter>> wal =
+      snapshot::WalWriter::Open(wal_dir_);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(*wal);
 
@@ -349,7 +351,7 @@ Status StreamSession::Checkpoint() {
   // Everything sealed so far carries only batches <= durable_batch (the
   // rotation above closed the segment the checkpoint record landed in),
   // and the cut re-derives those on recovery: the sealed log is garbage.
-  Result<size_t> pruned = PruneWalSegments(wal_dir_, *sealed);
+  Result<size_t> pruned = snapshot::PruneWalSegments(wal_dir_, *sealed);
   if (!pruned.ok()) return pruned.status();
   // Stale snapshots are garbage too, but only after CURRENT moved on.
   std::error_code ec;

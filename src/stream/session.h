@@ -35,8 +35,8 @@
 #include "corpus/split.h"
 #include "rec/engine.h"
 #include "rec/model_config.h"
+#include "snapshot/wal.h"
 #include "stream/record.h"
-#include "stream/wal.h"
 #include "util/status.h"
 
 namespace microrec::stream {
@@ -176,7 +176,7 @@ class StreamSession {
   std::unordered_map<corpus::UserId, std::unordered_set<corpus::TweetId>>
       present_;
   std::unique_ptr<rec::Engine> engine_;
-  std::unique_ptr<WalWriter> wal_;
+  std::unique_ptr<snapshot::WalWriter> wal_;
   uint64_t last_applied_ = 0;
   uint64_t last_checkpoint_ = 0;
   uint64_t epoch_ = 0;

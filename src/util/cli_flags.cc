@@ -6,10 +6,7 @@
 #include <map>
 
 namespace microrec {
-namespace {
 
-/// Strict numeric parses: the whole token must be consumed, and range
-/// errors are rejected (atof/atoi would silently truncate or wrap).
 bool ParseDoubleStrict(const std::string& text, double* out) {
   if (text.empty()) return false;
   errno = 0;
@@ -29,8 +26,6 @@ bool ParseUint64Strict(const std::string& text, uint64_t* out) {
   *out = static_cast<uint64_t>(value);
   return true;
 }
-
-}  // namespace
 
 void FlagParser::AddString(std::string name, std::string* out,
                            std::string help) {

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   FlagParser parser("microrec sweep <dir> <model> <source>");
-//   parser.AddString("checkpoint", &path, "JSONL checkpoint path");
+//   parser.AddString("checkpoint", &path, "checkpoint log directory");
 //   parser.AddBool("fail-fast", &fail_fast, "abort on first failure");
 //   Result<std::vector<std::string>> positional = parser.Parse(args);
 #ifndef MICROREC_UTIL_CLI_FLAGS_H_
@@ -20,6 +20,12 @@
 #include "util/status.h"
 
 namespace microrec {
+
+/// Strict numeric parses, shared with the bench environment knobs: the
+/// whole token must be consumed and range errors are rejected (atof/atoi
+/// would silently truncate or wrap). False on an empty or malformed token.
+bool ParseDoubleStrict(const std::string& text, double* out);
+bool ParseUint64Strict(const std::string& text, uint64_t* out);
 
 class FlagParser {
  public:

@@ -347,7 +347,7 @@ TEST_F(RunnerFixture, SweepConfigDeadlineIsIsolated) {
 TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
   testutil::ScratchDir scratch("microrec_sweep_ckpt_test");
   SweepOptions options;
-  options.checkpoint_path = scratch.File("ckpt.jsonl");
+  options.checkpoint_path = scratch.File("ckpt");
 
   Result<SweepResult> first =
       SweepConfigs(*runner_, ThreeTnConfigs(), Source::kR, options);
@@ -362,13 +362,20 @@ TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
   for (size_t i = 0; i < first->outcomes.size(); ++i) {
     EXPECT_EQ(second->outcomes[i].result.users, first->outcomes[i].result.users);
     EXPECT_EQ(second->outcomes[i].result.aps, first->outcomes[i].result.aps);
+    // Restored outcomes are bit-identical, recorded times included.
+    EXPECT_EQ(second->outcomes[i].status.code(),
+              first->outcomes[i].status.code());
+    EXPECT_EQ(second->outcomes[i].result.ttime_seconds,
+              first->outcomes[i].result.ttime_seconds);
+    EXPECT_EQ(second->outcomes[i].result.etime_seconds,
+              first->outcomes[i].result.etime_seconds);
   }
 }
 
 TEST_F(RunnerFixture, SweepCheckpointRefusesForeignSource) {
   testutil::ScratchDir scratch("microrec_sweep_ckpt_key_test");
   SweepOptions options;
-  options.checkpoint_path = scratch.File("ckpt.jsonl");
+  options.checkpoint_path = scratch.File("ckpt");
 
   ASSERT_TRUE(
       SweepConfigs(*runner_, {SimpleTn()}, Source::kR, options).ok());

@@ -160,7 +160,7 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
 
   testutil::ScratchDir scratch("microrec_resilience_resume_test");
   eval::SweepOptions options;
-  options.checkpoint_path = scratch.File("ckpt.jsonl");
+  options.checkpoint_path = scratch.File("ckpt");
 
   // "Kill" after two configurations: only the first half runs.
   Result<eval::SweepResult> partial = eval::SweepConfigs(
@@ -190,7 +190,7 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
 TEST_F(ResilienceFixture, FailedConfigsResumeAsFailures) {
   testutil::ScratchDir scratch("microrec_resilience_refail_test");
   eval::SweepOptions options;
-  options.checkpoint_path = scratch.File("ckpt.jsonl");
+  options.checkpoint_path = scratch.File("ckpt");
 
   resilience::FaultSpec spec;
   spec.every_nth = 2;

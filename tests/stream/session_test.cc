@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "snapshot/format.h"
+#include "snapshot/wal.h"
 #include "stream_fixture.h"
 
 namespace microrec::stream {
@@ -219,8 +220,8 @@ TEST_F(SessionFixture, CheckpointPrunesWalAndStaleSnapshots) {
   ASSERT_OK((*session)->IngestAll());
   ASSERT_OK((*session)->Checkpoint());
   // WAL: nothing sealed survives the checkpoint; only the open segment.
-  Result<std::vector<WalSegmentInfo>> segments =
-      ListWalSegments(dir + "/wal");
+  Result<std::vector<snapshot::WalSegmentInfo>> segments =
+      snapshot::ListWalSegments(dir + "/wal");
   ASSERT_OK(segments);
   ASSERT_EQ(segments->size(), 1u);
   EXPECT_FALSE((*segments)[0].sealed);
@@ -259,9 +260,10 @@ TEST_F(SessionFixture, ReplayedOldBatchesAreSkippedIdempotently) {
   const std::string payload = EncodeBatchRecord(batches[0]);
   const uint32_t len = static_cast<uint32_t>(payload.size());
   const uint32_t crc = snapshot::Crc32(payload);
-  std::ofstream out(dir + "/wal/" + WalSegmentFileName(1, /*sealed=*/true),
-                    std::ios::binary | std::ios::trunc);
-  out.write(kWalMagic, kWalMagicSize);
+  std::ofstream out(
+      dir + "/wal/" + snapshot::WalSegmentFileName(1, /*sealed=*/true),
+      std::ios::binary | std::ios::trunc);
+  out.write(snapshot::kWalMagic, snapshot::kWalMagicSize);
   for (int i = 0; i < 4; ++i) {
     out.put(static_cast<char>((len >> (8 * i)) & 0xFF));
   }
@@ -296,9 +298,10 @@ TEST_F(SessionFixture, BatchGapInTheLogIsDataLoss) {
   const std::string payload = EncodeBatchRecord(batches[2]);  // batch 3
   const uint32_t len = static_cast<uint32_t>(payload.size());
   const uint32_t crc = snapshot::Crc32(payload);
-  std::ofstream out(dir + "/wal/" + WalSegmentFileName(1, /*sealed=*/true),
-                    std::ios::binary | std::ios::trunc);
-  out.write(kWalMagic, kWalMagicSize);
+  std::ofstream out(
+      dir + "/wal/" + snapshot::WalSegmentFileName(1, /*sealed=*/true),
+      std::ios::binary | std::ios::trunc);
+  out.write(snapshot::kWalMagic, snapshot::kWalMagicSize);
   for (int i = 0; i < 4; ++i) {
     out.put(static_cast<char>((len >> (8 * i)) & 0xFF));
   }

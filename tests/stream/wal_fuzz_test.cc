@@ -2,8 +2,10 @@
 // the snapshot mutation harness: every mutant of a pristine segment must
 // replay to either a clean prefix (open-segment torn-tail semantics) or a
 // DataLoss status — never a crash, never an unbounded allocation, and
-// never a payload the record codec crashes on. Run under ASan/UBSan these
-// cases double as memory-safety proofs (the streaming-chaos CI job does).
+// never a payload the record codec crashes on. The same holds for sweep
+// checkpoint logs (eval::SweepCheckpoint), where a spliced mutant may also
+// be refused as InvalidArgument. Run under ASan/UBSan these cases double
+// as memory-safety proofs (the streaming-chaos CI job does).
 //
 // Knobs match snapshot_fuzz_test.cc: MICROREC_FUZZ_N / MICROREC_FUZZ_SEED
 // / MICROREC_FUZZ_ARTIFACTS.
@@ -15,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "eval/sweep.h"
+#include "rec/model_config.h"
 #include "snapshot/fuzz.h"
+#include "snapshot/wal.h"
 #include "stream/record.h"
-#include "stream/wal.h"
 #include "testing/scratch_dir.h"
 #include "testing/status_matchers.h"
 
@@ -25,6 +29,12 @@ namespace microrec::stream {
 namespace {
 
 namespace fs = std::filesystem;
+
+using snapshot::ReplayWal;
+using snapshot::WalRecordRef;
+using snapshot::WalReplayStats;
+using snapshot::WalSegmentFileName;
+using snapshot::WalWriter;
 
 size_t FuzzN() {
   const char* env = std::getenv("MICROREC_FUZZ_N");
@@ -89,6 +99,43 @@ std::string PristineSegment(std::vector<std::string>* payloads) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   return bytes;
+}
+
+constexpr char kCheckpointKey[] = "source=R seed=1";
+
+/// A pristine sweep-checkpoint segment: the header and three outcomes, one
+/// of them failed, written through eval::SweepCheckpoint.
+std::string PristineCheckpointSegment(
+    std::vector<eval::ConfigOutcome>* outcomes) {
+  testutil::ScratchDir scratch("microrec_walfuzz_ckpt_pristine");
+  const std::string dir = scratch.File("ckpt");
+  for (int n = 1; n <= 3; ++n) {
+    eval::ConfigOutcome outcome;
+    outcome.config.kind = rec::ModelKind::kTN;
+    outcome.config.bag.n = n;
+    for (uint32_t u = 0; u < static_cast<uint32_t>(4 * n); ++u) {
+      outcome.result.users.push_back(u * 7 + 1);
+      outcome.result.aps.push_back(1.0 / (u + n));
+    }
+    outcome.result.ttime_seconds = 0.5 * n;
+    outcome.result.etime_seconds = 0.125 * n;
+    outcomes->push_back(outcome);
+  }
+  outcomes->back().result = eval::RunResult();
+  outcomes->back().status = Status::Internal("injected \"fault\"\n");
+  {
+    Result<eval::SweepCheckpoint> ckpt =
+        eval::SweepCheckpoint::Open(dir, kCheckpointKey);
+    EXPECT_OK(ckpt);
+    if (!ckpt.ok()) return {};
+    for (const eval::ConfigOutcome& outcome : *outcomes) {
+      EXPECT_OK(ckpt->Append(outcome));
+    }
+  }
+  std::ifstream in(dir + "/" + WalSegmentFileName(1, /*sealed=*/false),
+                   std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Replays `dir`, feeding every delivered payload through the record
@@ -203,6 +250,57 @@ TEST_F(WalFuzzFixture, MutatedOpenSegmentsTruncateToCleanPrefix) {
     EXPECT_FALSE(again->tail_truncated) << "case " << index;
     EXPECT_EQ(redelivered.size(), delivered.size()) << "case " << index;
   }
+}
+
+TEST_F(WalFuzzFixture, MutatedSweepCheckpointLogsOpenCleanOrFail) {
+  std::vector<eval::ConfigOutcome> pristine_outcomes;
+  const std::string pristine = PristineCheckpointSegment(&pristine_outcomes);
+  const uint64_t seed = FuzzSeed() + 2;
+  const size_t n = FuzzN();
+  size_t rejected = 0;
+  for (uint64_t index = 0; index < n; ++index) {
+    snapshot::Mutation mutation;
+    std::string mutant = snapshot::Mutate(pristine, seed, index, &mutation);
+    InstallSegment(mutant, /*sealed=*/index % 2 == 0);
+    Result<eval::SweepCheckpoint> ckpt =
+        eval::SweepCheckpoint::Open(dir_, kCheckpointKey);
+    if (!ckpt.ok()) {
+      const StatusCode code = ckpt.status().code();
+      if (code != StatusCode::kDataLoss &&
+          code != StatusCode::kInvalidArgument) {
+        std::string artifact =
+            DumpArtifact("sweep-ckpt", seed, index, mutant);
+        FAIL() << "case " << index << " (" << mutation.ToString()
+               << ") failed with " << ckpt.status().ToString()
+               << (artifact.empty() ? "" : "; mutant saved to " + artifact);
+      }
+      ++rejected;
+      continue;
+    }
+    // A clean open restores nothing but pristine outcomes.
+    EXPECT_LE(ckpt->size(), pristine_outcomes.size()) << "case " << index;
+    for (const eval::ConfigOutcome& expected : pristine_outcomes) {
+      std::optional<eval::ConfigOutcome> found = ckpt->Find(expected.config);
+      if (!found.has_value()) continue;
+      const bool same = found->status.code() == expected.status.code() &&
+                        found->status.message() == expected.status.message() &&
+                        found->result.users == expected.result.users &&
+                        found->result.aps == expected.result.aps &&
+                        found->result.ttime_seconds ==
+                            expected.result.ttime_seconds &&
+                        found->result.etime_seconds ==
+                            expected.result.etime_seconds;
+      if (!same) {
+        std::string artifact =
+            DumpArtifact("sweep-ckpt", seed, index, mutant);
+        FAIL() << "case " << index << " (" << mutation.ToString()
+               << ") restored an outcome the log never held for "
+               << expected.config.ToString()
+               << (artifact.empty() ? "" : "; mutant saved to " + artifact);
+      }
+    }
+  }
+  EXPECT_GE(rejected, n / 4) << "suspiciously few rejections";
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // rotation, torn-tail truncation for the open segment versus hard DataLoss
 // for sealed damage, pruning, leftover-open sealing on reopen, and the
 // wal.append / wal.replay fault sites.
-#include "stream/wal.h"
+#include "snapshot/wal.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,18 @@ namespace microrec::stream {
 namespace {
 
 namespace fs = std::filesystem;
+
+using snapshot::kMaxWalRecordBytes;
+using snapshot::kWalMagic;
+using snapshot::kWalMagicSize;
+using snapshot::ListWalSegments;
+using snapshot::PruneWalSegments;
+using snapshot::ReplayWal;
+using snapshot::WalRecordRef;
+using snapshot::WalReplayStats;
+using snapshot::WalSegmentFileName;
+using snapshot::WalSegmentInfo;
+using snapshot::WalWriter;
 
 class WalFixture : public ::testing::Test {
  protected:

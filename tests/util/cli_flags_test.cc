@@ -176,5 +176,22 @@ TEST(FlagParserTest, HelpListsEveryFlag) {
   EXPECT_NE(help.find("usage: microrec sweep"), std::string::npos);
 }
 
+TEST(StrictParseTest, WholeTokenOrNothing) {
+  double d = -1.0;
+  EXPECT_TRUE(ParseDoubleStrict("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  for (const char* bad : {"", "abc", "1.5x", "1e999"}) {
+    EXPECT_FALSE(ParseDoubleStrict(bad, &d)) << bad;
+  }
+  uint64_t u = 9;
+  EXPECT_TRUE(ParseUint64Strict("42", &u));
+  EXPECT_EQ(u, 42u);
+  for (const char* bad :
+       {"", "four", "-1", "+1", "3.0", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseUint64Strict(bad, &u)) << bad;
+  }
+  EXPECT_EQ(u, 42u);  // failures leave the output untouched
+}
+
 }  // namespace
 }  // namespace microrec

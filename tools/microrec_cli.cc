@@ -74,8 +74,9 @@
 // checkpoint makes applied batches durable. A second signal kills.
 //
 // Resilience flags (sweep only; see DESIGN.md, "Resilience"):
-//   --checkpoint=<path>   stream outcomes to a JSONL checkpoint; rerunning
-//                         with the same path resumes past completed configs
+//   --checkpoint=<dir>    append each outcome to a checkpoint log in this
+//                         directory (microrec.wal/1); rerunning with the
+//                         same directory resumes past completed configs
 //   --fail-fast           abort on the first failed configuration instead of
 //                         isolating it and sweeping on
 //   --max-configs=<n>     cap the (validity-filtered) grid at n configs
@@ -112,7 +113,7 @@
 //                         Rankings are bit-identical at any thread count
 //                         (DESIGN.md §9); only wall-clock changes.
 //
-// Training flags (evaluate / sweep / train / recommend):
+// Training flags (evaluate / sweep / train / recommend / load / ingest):
 //   --train-threads=<n>   threads for sharded topic-model training
 //                         (default 1). 1 reproduces the paper's sequential
 //                         sampler bit-for-bit; > 1 trains LDA/LLDA/BTM/PLSA
@@ -207,36 +208,29 @@ int Usage() {
       " [--sampler-kernel=<dense|sparse>] <dir>"
       " <TN|CN|TNG|CNG|LDA|LLDA|HDP|HLDA|BTM|PLSA>"
       " <R|T|E|F|C|TR|TE|RE|TC|RC|TF|RF|EF> [iter_scale]\n"
-      "  microrec sweep [--checkpoint=<path>] [--fail-fast]"
-      " [--max-configs=<n>] [--timeout=<s>] [--train-threads=<n>]\n"
+      "  microrec sweep [--checkpoint=<dir>] [--fail-fast]"
+      " [--max-configs=<n>] [--timeout=<s>] [--train-threads=<n>]"
+      " [--sampler-kernel=<dense|sparse>]\n"
       "                 <dir> <model> <source> [iter_scale]\n"
       "  microrec suggest <dir> <user_handle> [top_k]\n"
       "  microrec train [--snapshot-dir=<dir>] [--snapshot-codec=<c>]"
-      " [--train-threads=<n>] <dir> <model> <source>"
-      " [iter_scale]\n"
+      " [--train-threads=<n>] [--sampler-kernel=<dense|sparse>]\n"
+      "                 <dir> <model> <source> [iter_scale]\n"
       "  microrec recommend [--snapshot-dir=<dir>] [--serve-mode=<m>]"
       " [--deadline=<s>] [--user=<handle>] [--top-k=<n>] [--threads=<n>]"
-      " [--train-threads=<n>]\n"
+      " [--train-threads=<n>] [--sampler-kernel=<dense|sparse>]\n"
       "                     <dir> <model> <source> [iter_scale]\n"
       "  microrec load [--requests=<n>] [--load-seed=<n>] [--zipf=<s>]"
       " [--mix=<r,p,w[,i]>] [--target-qps=<q>] [--threads=<n>]"
-      " [--shards=<n>] [--hedge-after-ms=<t>] [--load-report=<path>]\n"
+      " [--shards=<n>] [--hedge-after-ms=<t>] [--load-report=<path>]"
+      " [--sampler-kernel=<dense|sparse>]\n"
       "                <dir> <model> <source> [iter_scale]\n"
       "  microrec ingest [--stream-dir=<dir>] [--cut=<f>] [--batch-size=<n>]"
-      " [--checkpoint-every=<n>] [--train-threads=<n>]\n"
+      " [--checkpoint-every=<n>] [--train-threads=<n>]"
+      " [--sampler-kernel=<dense|sparse>]\n"
       "                  <dir> <model> <source> [iter_scale]\n"
       "  microrec faults --list\n");
   return 2;
-}
-
-/// Strict positional-number parse (the flag parser covers --key=value; the
-/// optional iter_scale / seed positionals get the same rigor).
-bool ParsePositionalDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
 }
 
 /// One-line attribution of where the run's wall-clock went, from the
@@ -403,7 +397,8 @@ Status ApplySnapshotFlags(const ServingFlags& flags,
   return rec::ParseServeMode(flags.serve_mode, &options->serve_mode);
 }
 
-/// Resolves --sampler-kernel into run options.
+/// Resolves --sampler-kernel into run options. Every command applies its
+/// flags before Stack::Load, so a typo fails without reading the corpus.
 Status ApplyKernelFlags(const ServingFlags& flags,
                         eval::RunOptions* options) {
   if (!topic::ParseSamplerKernel(flags.sampler_kernel,
@@ -422,8 +417,6 @@ int Evaluate(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions options;
   options.topic_iteration_scale = iter_scale;
@@ -432,6 +425,8 @@ int Evaluate(const std::string& dir, const std::string& model_name,
   if (Status st = ApplyKernelFlags(flags, &options); !st.ok()) {
     return Fail(st);
   }
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -457,8 +452,6 @@ int Train(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions options;
   options.topic_iteration_scale = iter_scale;
@@ -477,6 +470,8 @@ int Train(const std::string& dir, const std::string& model_name,
   // Training must re-save, and mapped engines are read-only — the save
   // codec is the flag that matters here.
   options.serve_mode = rec::ServeMode::kResident;
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -501,8 +496,6 @@ int Recommend(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions options;
   options.topic_iteration_scale = iter_scale;
@@ -514,6 +507,8 @@ int Recommend(const std::string& dir, const std::string& model_name,
   if (Status st = ApplySnapshotFlags(flags, &options); !st.ok()) {
     return Fail(st);
   }
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -635,7 +630,7 @@ bool ParseOpMix(const std::string& text, load::OpMix* mix) {
   double weights[4] = {0.0, 0.0, 0.0, 0.0};
   if (parts.size() != 3 && parts.size() != 4) return false;
   for (size_t i = 0; i < parts.size(); ++i) {
-    if (!ParsePositionalDouble(parts[i], &weights[i])) return false;
+    if (!ParseDoubleStrict(parts[i], &weights[i])) return false;
   }
   mix->recommend = weights[0];
   mix->profile_lookup = weights[1];
@@ -671,8 +666,6 @@ int Load(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions options;
   options.topic_iteration_scale = iter_scale;
@@ -684,6 +677,8 @@ int Load(const std::string& dir, const std::string& model_name,
   if (Status st = ApplySnapshotFlags(serving_flags, &options); !st.ok()) {
     return Fail(st);
   }
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -882,8 +877,6 @@ int Ingest(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions options;
   options.topic_iteration_scale = iter_scale;
@@ -891,6 +884,8 @@ int Ingest(const std::string& dir, const std::string& model_name,
   if (Status st = ApplyKernelFlags(serving_flags, &options); !st.ok()) {
     return Fail(st);
   }
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -953,8 +948,6 @@ int Sweep(const std::string& dir, const std::string& model_name,
   if (!kind.ok()) return Fail(kind.status());
   Result<corpus::Source> source = corpus::ParseSource(source_name);
   if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
 
   eval::RunOptions run_options;
   run_options.topic_iteration_scale = iter_scale;
@@ -962,6 +955,8 @@ int Sweep(const std::string& dir, const std::string& model_name,
   if (Status st = ApplyKernelFlags(serving_flags, &run_options); !st.ok()) {
     return Fail(st);
   }
+  Result<Stack> stack = Stack::Load(dir);
+  if (!stack.ok()) return Fail(stack.status());
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort,
                                 run_options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
@@ -1081,7 +1076,7 @@ int Faults() {
 bool IterScaleArg(const std::vector<std::string>& args, size_t index,
                   double* iter_scale) {
   if (args.size() <= index) return true;
-  if (!ParsePositionalDouble(args[index], iter_scale) || *iter_scale <= 0.0) {
+  if (!ParseDoubleStrict(args[index], iter_scale) || *iter_scale <= 0.0) {
     std::fprintf(stderr, "error: bad iter_scale '%s'\n",
                  args[index].c_str());
     return false;
@@ -1155,7 +1150,7 @@ int main(int argc, char** argv) {
                    "sample the metrics registry to this JSONL while running");
   parser.AddString("trace", &trace_path, "write Chrome trace JSON");
   parser.AddString("checkpoint", &flags.checkpoint_path,
-                   "sweep: JSONL checkpoint for resume");
+                   "sweep: checkpoint log directory for resume");
   parser.AddBool("fail-fast", &flags.fail_fast,
                  "sweep: abort on first failed configuration");
   parser.AddSize("max-configs", &flags.max_configs,
@@ -1173,13 +1168,13 @@ int main(int argc, char** argv) {
   parser.AddSize("threads", &serving.threads,
                  "evaluate/recommend: scoring threads (default 1)");
   parser.AddSize("train-threads", &serving.train_threads,
-                 "evaluate/sweep/train/recommend: topic-model training "
-                 "threads (default 1 = sequential, bit-identical to the "
-                 "paper)");
+                 "evaluate/sweep/train/recommend/load/ingest: topic-model "
+                 "training threads (default 1 = sequential, bit-identical "
+                 "to the paper)");
   parser.AddString("sampler-kernel", &serving.sampler_kernel,
-                   "evaluate/sweep/train/recommend: Gibbs draw kernel for "
-                   "LDA/LLDA/BTM: dense (default, bit-identical to the "
-                   "paper) or sparse (SparseLDA buckets)");
+                   "evaluate/sweep/train/recommend/load/ingest: Gibbs draw "
+                   "kernel for LDA/LLDA/BTM: dense (default, bit-identical "
+                   "to the paper) or sparse (SparseLDA buckets)");
   parser.AddString("snapshot-codec", &serving.snapshot_codec,
                    "train: section codec for saved snapshots — raw "
                    "(default, microrec.snap/1) or compressed "
